@@ -11,6 +11,7 @@ use crate::patient::{Patient, PatientId};
 use crate::rng::{normal, substream, Stream};
 use crate::stream::CohortStream;
 use crate::trajectory::{self, Trajectory};
+use crate::OUTCOME_MONTHS;
 use serde::{Deserialize, Serialize};
 
 /// Weekly PRO observations: `series[patient][question][week]`,
@@ -61,13 +62,27 @@ impl CohortData {
     }
 
     /// The clinical assessment of a patient at a visit month, if any.
+    /// O(1) on the patient-major layout [`generate`] produces; a
+    /// hand-built cohort laid out otherwise falls back to a scan.
     pub fn assessment(&self, patient: PatientId, month: usize) -> Option<&ClinicalAssessment> {
-        self.clinical.iter().find(|a| a.patient == patient && a.month == month)
+        let slot = crate::VISIT_MONTHS.iter().position(|&m| m == month);
+        let at = slot.map(|k| crate::VISIT_MONTHS.len() * patient.0 as usize + k);
+        match at.and_then(|i| self.clinical.get(i)) {
+            Some(a) if a.patient == patient && a.month == month => Some(a),
+            _ => self.clinical.iter().find(|a| a.patient == patient && a.month == month),
+        }
     }
 
-    /// The outcome record of a patient at a visit month, if any.
+    /// The outcome record of a patient at a visit month, if any. O(1)
+    /// on the patient-major layout [`generate`] produces; a hand-built
+    /// cohort laid out otherwise falls back to a scan.
     pub fn outcome(&self, patient: PatientId, month: usize) -> Option<&OutcomeRecord> {
-        self.outcomes.iter().find(|o| o.patient == patient && o.month == month)
+        let slot = OUTCOME_MONTHS.iter().position(|&m| m == month);
+        let at = slot.map(|k| OUTCOME_MONTHS.len() * patient.0 as usize + k);
+        match at.and_then(|i| self.outcomes.get(i)) {
+            Some(o) if o.patient == patient && o.month == month => Some(o),
+            _ => self.outcomes.iter().find(|o| o.patient == patient && o.month == month),
+        }
     }
 }
 
@@ -116,7 +131,7 @@ pub fn generate(config: &CohortConfig) -> CohortData {
     let mut pro_series = Vec::with_capacity(n);
     let mut activity_traces = Vec::with_capacity(n);
     let mut clinical_records = Vec::with_capacity(n * crate::VISIT_MONTHS.len());
-    let mut outcome_records = Vec::with_capacity(n * 2);
+    let mut outcome_records = Vec::with_capacity(n * OUTCOME_MONTHS.len());
 
     let mut stream = CohortStream::new(config);
     let panel = stream.panel().to_vec();
@@ -253,6 +268,29 @@ mod tests {
         assert!(data.outcome(pid, 18).is_some());
         assert!(data.outcome(pid, 0).is_none());
         assert_eq!(data.clinic_of(pid), data.patients[0].clinic);
+    }
+
+    #[test]
+    fn lookups_agree_with_a_scan_on_any_layout() {
+        let mut data = small();
+        let check = |data: &CohortData| {
+            for p in &data.patients {
+                for month in [0, 5, 9, 18] {
+                    let outcome =
+                        data.outcomes.iter().find(|o| o.patient == p.id && o.month == month);
+                    assert_eq!(data.outcome(p.id, month), outcome);
+                    let visit =
+                        data.clinical.iter().find(|a| a.patient == p.id && a.month == month);
+                    assert_eq!(data.assessment(p.id, month), visit);
+                }
+            }
+        };
+        check(&data);
+        // A hand-built cohort laid out differently still resolves.
+        data.outcomes.reverse();
+        data.clinical.swap(0, 4);
+        data.clinical.truncate(data.clinical.len() - 1);
+        check(&data);
     }
 
     #[test]

@@ -59,3 +59,5 @@ pub const WEEKS_PER_MONTH: usize = 4;
 pub const DAYS_PER_MONTH: usize = 30;
 /// Clinical visit months (baseline and the two outcome visits).
 pub const VISIT_MONTHS: [usize; 3] = [0, 9, 18];
+/// Outcome measurement months (the visits ending the two windows).
+pub const OUTCOME_MONTHS: [usize; 2] = [9, 18];

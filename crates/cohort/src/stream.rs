@@ -23,7 +23,7 @@ use crate::patient::Patient;
 use crate::pro::{N_PRO, QUESTION_BANK};
 use crate::rng::{substream, Stream};
 use crate::trajectory::{self, Trajectory};
-use crate::{STUDY_MONTHS, VISIT_MONTHS, WEEKS_PER_MONTH};
+use crate::{OUTCOME_MONTHS, STUDY_MONTHS, VISIT_MONTHS, WEEKS_PER_MONTH};
 use serde::{Deserialize, Serialize};
 
 /// Everything the simulator produces for one patient: the same fields
@@ -91,27 +91,29 @@ pub fn generate_patient(
 ) -> Option<PatientRecord> {
     let clinic_cfg = clinic_config_of(config, id)?;
     let seed = config.seed;
-    let n_weeks = STUDY_MONTHS * WEEKS_PER_MONTH;
 
     let patient = make_patient(id, clinic_cfg, seed);
     let traj = trajectory::simulate(&patient, clinic_cfg, seed);
     let balance = trajectory::balance_trait(&patient, seed);
 
-    // Weekly PRO answers for all 56 questions, then gaps.
+    // Weekly PRO answers for all 56 questions, with gaps. The Gaps and
+    // Pro substreams are independent, so the gaps are punched first and
+    // the answer kernel skips the category work for blanked weeks (it
+    // still draws their uniforms, keeping the Pro stream in step).
+    let noise = clinic_cfg.observation_noise;
+    let mut thetas = [0.0; STUDY_MONTHS * WEEKS_PER_MONTH];
     let mut per_question: Vec<Vec<Option<u8>>> = Vec::with_capacity(N_PRO);
     for (q_idx, question) in QUESTION_BANK.iter().enumerate() {
-        let mut rng_answers = substream(seed, Stream::Pro, patient.id.0 as u64, q_idx as u64);
-        let mut series: Vec<Option<u8>> = (0..n_weeks)
-            .map(|week| {
-                let month = week / WEEKS_PER_MONTH + 1;
-                let domain_theta = traj.capacity[month].get(question.domain);
-                let bl = question.balance_loading;
-                let theta = (1.0 - bl) * domain_theta + bl * balance;
-                Some(question.answer(theta, clinic_cfg.observation_noise, &mut rng_answers))
-            })
-            .collect();
+        let bl = question.balance_loading;
+        for (week, theta) in thetas.iter_mut().enumerate() {
+            let domain_theta = traj.capacity[week / WEEKS_PER_MONTH + 1].get(question.domain);
+            *theta = (1.0 - bl) * domain_theta + bl * balance;
+        }
+        let mut series = vec![Some(0); thetas.len()];
         let mut rng_gaps = substream(seed, Stream::Gaps, patient.id.0 as u64, q_idx as u64);
         inject_gaps(&mut series, &config.missingness, &mut rng_gaps);
+        let mut rng_answers = substream(seed, Stream::Pro, patient.id.0 as u64, q_idx as u64);
+        question.answer_series(&thetas, noise, &mut rng_answers, &mut series);
         per_question.push(series);
     }
 
@@ -121,7 +123,7 @@ pub fn generate_patient(
         .into_iter()
         .map(|month| clinical::assess(&patient, &traj, month, panel, seed))
         .collect();
-    let outcome_records: Vec<OutcomeRecord> = [9, 18]
+    let outcome_records: Vec<OutcomeRecord> = OUTCOME_MONTHS
         .into_iter()
         .map(|month| outcomes::measure(&patient, &traj, month, clinic_cfg.observation_noise, seed))
         .collect();

@@ -6,29 +6,36 @@
 /// missing. Returns an `f64` series with `NaN` for still-missing slots.
 pub fn interpolate(series: &[Option<f64>], max_gap: usize) -> Vec<f64> {
     let mut out: Vec<f64> = series.iter().map(|v| v.unwrap_or(f64::NAN)).collect();
+    interpolate_in_place(&mut out, max_gap);
+    out
+}
+
+/// [`interpolate`] on a series whose missing slots are already `NaN`,
+/// filling the short interior gaps in place — the allocation-free form
+/// the featurizer runs on its stack scratch.
+pub(crate) fn interpolate_in_place(values: &mut [f64], max_gap: usize) {
     let mut i = 0usize;
-    while i < out.len() {
-        if !out[i].is_nan() {
+    while i < values.len() {
+        if !values[i].is_nan() {
             i += 1;
             continue;
         }
         // Find the end of this missing run.
         let start = i;
-        while i < out.len() && out[i].is_nan() {
+        while i < values.len() && values[i].is_nan() {
             i += 1;
         }
         let len = i - start;
         // Interior gap with both endpoints present, short enough?
-        if start > 0 && i < out.len() && len <= max_gap {
-            let left = out[start - 1];
-            let right = out[i];
-            for (k, slot) in out[start..i].iter_mut().enumerate() {
+        if start > 0 && i < values.len() && len <= max_gap {
+            let left = values[start - 1];
+            let right = values[i];
+            for (k, slot) in values[start..i].iter_mut().enumerate() {
                 let t = (k + 1) as f64 / (len + 1) as f64;
                 *slot = left + (right - left) * t;
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //! feature space").
 
 use crate::aggregate::monthly_means;
-use crate::interpolate::interpolate;
+use crate::interpolate::interpolate_in_place;
+use crate::stream::SampleBlock;
 use msaw_cohort::activity::ActivityTrace;
 use msaw_cohort::{
     Clinic, CohortData, OutcomeRecord, PatientId, N_PRO, QUESTION_BANK, STUDY_MONTHS,
@@ -207,65 +208,76 @@ impl SampleSet {
     }
 }
 
+/// Columns of every sample row: the 56 PRO items, then the three
+/// activity channels (see [`FeaturePanel::feature_names`]).
+pub(crate) const N_FEATURES: usize = N_PRO + 3;
+
+/// Weekly PRO slots in one series: one per study week.
+const N_WEEKS: usize = STUDY_MONTHS * WEEKS_PER_MONTH;
+
 /// Monthly feature values for the whole cohort: the shared stage the
 /// three per-outcome sample sets are cut from.
 #[derive(Debug, Clone)]
 pub struct FeaturePanel {
-    /// `pro[patient][question][month-1]`, `NaN` = missing after QA.
-    pub pro: Vec<Vec<Vec<f64>>>,
-    /// `activity[patient][channel][month-1]`, channels = steps, sleep,
-    /// calories.
-    pub activity: Vec<[Vec<f64>; 3]>,
+    /// Per-patient monthly features, indexed by patient id.
+    pub patients: Vec<PatientFeatures>,
 }
 
 /// Monthly feature values for one patient: the per-patient slice of
 /// [`FeaturePanel`], computable from that patient's raw series alone —
-/// the unit of work the streaming featurizer operates on.
+/// the unit of work the streaming featurizer operates on. Fixed-size,
+/// so featurizing a patient allocates nothing.
 #[derive(Debug, Clone)]
 pub struct PatientFeatures {
     /// `pro[question][month-1]`, `NaN` = missing after QA.
-    pub pro: Vec<Vec<f64>>,
+    pub pro: [[f64; STUDY_MONTHS]; N_PRO],
     /// `activity[channel][month-1]`, channels = steps, sleep, calories.
-    pub activity: [Vec<f64>; 3],
+    pub activity: [[f64; STUDY_MONTHS]; 3],
 }
 
 impl PatientFeatures {
-    /// Interpolate + aggregate one patient's weekly PRO series and
-    /// daily activity trace into monthly features. This is *the*
-    /// featurization — [`FeaturePanel::build`] is a per-patient loop
-    /// over it, so the streamed and materialised paths cannot diverge.
+    /// Interpolate + aggregate one patient's weekly PRO series (one slot
+    /// per study week) and daily activity trace into monthly features.
+    /// This is *the* featurization — [`FeaturePanel::build`] is a
+    /// per-patient loop over it, so the streamed and materialised paths
+    /// cannot diverge. Each series is interpolated in one stack buffer
+    /// and averaged straight into its monthly row.
     pub fn build(
         pro_series: &[Vec<Option<u8>>],
         trace: &ActivityTrace,
         cfg: &PipelineConfig,
     ) -> PatientFeatures {
-        let mut per_question = Vec::with_capacity(N_PRO);
-        for series in pro_series.iter().take(N_PRO) {
-            let weekly: Vec<Option<f64>> = series.iter().map(|a| a.map(|v| v as f64)).collect();
-            let filled = interpolate(&weekly, cfg.max_interpolation_gap);
-            per_question.push(monthly_means(&filled, WEEKS_PER_MONTH));
+        let mut features = PatientFeatures {
+            pro: [[f64::NAN; STUDY_MONTHS]; N_PRO],
+            activity: [[f64::NAN; STUDY_MONTHS]; 3],
+        };
+        let mut weekly = [0.0; N_WEEKS];
+        for (series, monthly) in pro_series.iter().zip(&mut features.pro) {
+            assert_eq!(series.len(), N_WEEKS, "one PRO slot per study week");
+            for (slot, &answer) in weekly.iter_mut().zip(series) {
+                let value = f64::from(answer.unwrap_or(0));
+                *slot = if answer.is_some() { value } else { f64::NAN };
+            }
+            interpolate_in_place(&mut weekly, cfg.max_interpolation_gap);
+            monthly_means(&weekly, WEEKS_PER_MONTH, monthly);
         }
-        let activity = [
-            (1..=STUDY_MONTHS).map(|m| trace.monthly_mean(&trace.steps, m)).collect::<Vec<f64>>(),
-            (1..=STUDY_MONTHS).map(|m| trace.monthly_mean(&trace.sleep_hours, m)).collect(),
-            (1..=STUDY_MONTHS).map(|m| trace.monthly_mean(&trace.calories, m)).collect(),
-        ];
-        PatientFeatures { pro: per_question, activity }
+        let channels = [&trace.steps, &trace.sleep_hours, &trace.calories];
+        for (channel, monthly) in channels.into_iter().zip(&mut features.activity) {
+            for (month, slot) in (1..=STUDY_MONTHS).zip(monthly) {
+                *slot = trace.monthly_mean(channel, month);
+            }
+        }
+        features
     }
 }
 
 impl FeaturePanel {
     /// Run interpolation + aggregation over the cohort.
     pub fn build(data: &CohortData, cfg: &PipelineConfig) -> FeaturePanel {
-        let n = data.patients.len();
-        let mut pro = Vec::with_capacity(n);
-        let mut activity = Vec::with_capacity(n);
-        for p in 0..n {
-            let pf = PatientFeatures::build(&data.pro.series[p], &data.activity[p], cfg);
-            pro.push(pf.pro);
-            activity.push(pf.activity);
-        }
-        FeaturePanel { pro, activity }
+        let patients = (0..data.patients.len())
+            .map(|p| PatientFeatures::build(&data.pro.series[p], &data.activity[p], cfg))
+            .collect();
+        FeaturePanel { patients }
     }
 
     /// The canonical 59 feature names: the 56 PRO items in bank order,
@@ -289,28 +301,26 @@ pub fn label_of(record: &OutcomeRecord, outcome: OutcomeKind) -> f64 {
 }
 
 /// Append every QA-passing sample of one patient — both windows, all
-/// eight candidate months each — to `rows`/`labels`/`meta`.
-/// `label_for_visit(9·window)` supplies the window's label (or `None`
-/// to skip that window). Both [`build_samples`] and the streaming
-/// featurizer in [`crate::stream`] funnel through this, which is what
-/// makes the two paths byte-identical.
-// A sink per output stream plus the per-patient inputs: the arity is
-// the fan-in, not incidental state to bundle.
-#[allow(clippy::too_many_arguments)]
+/// eight candidate months each — to `block`, each row written straight
+/// into its flat row buffer. `label_for_visit(9·window)` supplies the
+/// window's label (or `None` to skip that window). Both
+/// [`build_samples`] and the streaming featurizer in [`crate::stream`]
+/// funnel through this, which is what makes the two paths
+/// byte-identical.
 pub fn emit_patient_samples<F>(
     patient: PatientId,
     clinic: Clinic,
-    pro: &[Vec<f64>],
-    activity: &[Vec<f64>],
+    features: &PatientFeatures,
     label_for_visit: F,
     cfg: &PipelineConfig,
-    rows: &mut Vec<Vec<f64>>,
-    labels: &mut Vec<f64>,
-    meta: &mut Vec<SampleMeta>,
+    block: &mut SampleBlock,
 ) where
     F: Fn(usize) -> Option<f64>,
 {
-    let n_features = pro.len() + activity.len();
+    let columns = || features.pro.iter().chain(&features.activity);
+    // The QA-passing (month, window, label) candidates, in row order.
+    let mut kept = [(0usize, 0u8, 0.0); 16];
+    let mut n_kept = 0;
     for window in 1u8..=2 {
         let visit_month = 9 * window as usize;
         let Some(label) = label_for_visit(visit_month) else {
@@ -318,21 +328,23 @@ pub fn emit_patient_samples<F>(
         };
         for i in 1usize..=8 {
             let month = i + (window as usize - 1) * 9;
-            let mut row = Vec::with_capacity(n_features);
-            for q in pro {
-                row.push(q[month - 1]);
+            let missing = columns().filter(|monthly| monthly[month - 1].is_nan()).count();
+            if missing <= cfg.max_missing_features {
+                kept[n_kept] = (month, window, label);
+                n_kept += 1;
             }
-            for channel in activity {
-                row.push(channel[month - 1]);
-            }
-            let missing = row.iter().filter(|v| v.is_nan()).count();
-            if missing > cfg.max_missing_features {
-                continue;
-            }
-            rows.push(row);
-            labels.push(label);
-            meta.push(SampleMeta { patient, clinic, month, window });
         }
+    }
+    // One exact reservation per patient: a block grows by whole
+    // patients, so its capacity (the streaming pipeline's heap peak)
+    // does not depend on row-at-a-time doubling.
+    block.rows.reserve(n_kept * N_FEATURES);
+    block.labels.reserve(n_kept);
+    block.meta.reserve(n_kept);
+    for &(month, window, label) in &kept[..n_kept] {
+        block.rows.extend(columns().map(|monthly| monthly[month - 1]));
+        block.labels.push(label);
+        block.meta.push(SampleMeta { patient, clinic, month, window });
     }
 }
 
@@ -345,30 +357,18 @@ pub fn build_samples(
     outcome: OutcomeKind,
     cfg: &PipelineConfig,
 ) -> SampleSet {
-    let feature_names = FeaturePanel::feature_names();
-    let n_features = feature_names.len();
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut labels = Vec::new();
-    let mut meta = Vec::new();
-
+    let mut block = SampleBlock::new();
     for patient in &data.patients {
-        let p = patient.id.0 as usize;
         emit_patient_samples(
             patient.id,
             patient.clinic,
-            &panel.pro[p],
-            &panel.activity[p],
+            &panel.patients[patient.id.0 as usize],
             |visit_month| data.outcome(patient.id, visit_month).map(|r| label_of(r, outcome)),
             cfg,
-            &mut rows,
-            &mut labels,
-            &mut meta,
+            &mut block,
         );
     }
-
-    let features =
-        if rows.is_empty() { Matrix::zeros(0, n_features) } else { Matrix::from_rows(&rows) };
-    SampleSet { features, feature_names, labels, meta, outcome }
+    block.into_sample_set(outcome)
 }
 
 #[cfg(test)]

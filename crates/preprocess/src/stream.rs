@@ -11,7 +11,7 @@
 
 use crate::samples::{
     emit_patient_samples, label_of, FeaturePanel, OutcomeKind, PatientFeatures, PipelineConfig,
-    SampleMeta, SampleSet,
+    SampleMeta, SampleSet, N_FEATURES,
 };
 use msaw_cohort::stream::{CohortChunks, CohortStream};
 use msaw_cohort::{CohortConfig, PatientRecord};
@@ -33,6 +33,16 @@ pub struct SampleBlock {
 }
 
 impl SampleBlock {
+    /// An empty block of [`N_FEATURES`]-wide rows.
+    pub(crate) fn new() -> SampleBlock {
+        SampleBlock {
+            rows: Vec::new(),
+            labels: Vec::new(),
+            meta: Vec::new(),
+            n_features: N_FEATURES,
+        }
+    }
+
     /// Number of samples in the block.
     pub fn n_rows(&self) -> usize {
         self.labels.len()
@@ -41,6 +51,39 @@ impl SampleBlock {
     /// One row's feature values.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.rows[i * self.n_features..(i + 1) * self.n_features]
+    }
+
+    /// Append one generated patient's QA-passing samples.
+    fn push_patient(&mut self, record: &PatientRecord, outcome: OutcomeKind, cfg: &PipelineConfig) {
+        let features = PatientFeatures::build(&record.pro, &record.activity, cfg);
+        emit_patient_samples(
+            record.patient.id,
+            record.patient.clinic,
+            &features,
+            |visit_month| {
+                record
+                    .outcomes
+                    .iter()
+                    .find(|o| o.month == visit_month)
+                    .map(|r| label_of(r, outcome))
+            },
+            cfg,
+            self,
+        );
+    }
+
+    /// The block as a [`SampleSet`], its row buffer (trimmed to size,
+    /// since the set outlives the build) becoming the feature matrix.
+    pub(crate) fn into_sample_set(mut self, outcome: OutcomeKind) -> SampleSet {
+        self.rows.shrink_to_fit();
+        let nrows = self.n_rows();
+        SampleSet {
+            features: Matrix::from_vec(self.rows, nrows, self.n_features),
+            feature_names: FeaturePanel::feature_names(),
+            labels: self.labels,
+            meta: self.meta,
+            outcome,
+        }
     }
 }
 
@@ -53,29 +96,9 @@ pub fn patient_samples(
     outcome: OutcomeKind,
     cfg: &PipelineConfig,
 ) -> SampleBlock {
-    let features = PatientFeatures::build(&record.pro, &record.activity, cfg);
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut labels = Vec::new();
-    let mut meta = Vec::new();
-    emit_patient_samples(
-        record.patient.id,
-        record.patient.clinic,
-        &features.pro,
-        &features.activity,
-        |visit_month| {
-            record.outcomes.iter().find(|o| o.month == visit_month).map(|r| label_of(r, outcome))
-        },
-        cfg,
-        &mut rows,
-        &mut labels,
-        &mut meta,
-    );
-    let n_features = FeaturePanel::feature_names().len();
-    let mut flat = Vec::with_capacity(rows.len() * n_features);
-    for row in rows {
-        flat.extend_from_slice(&row);
-    }
-    SampleBlock { rows: flat, labels, meta, n_features }
+    let mut block = SampleBlock::new();
+    block.push_patient(record, outcome, cfg);
+    block
 }
 
 /// Featurize the patients with ids `start..end` into one
@@ -90,14 +113,9 @@ pub fn range_samples(
     start: u32,
     end: u32,
 ) -> SampleBlock {
-    let n_features = FeaturePanel::feature_names().len();
-    let mut block =
-        SampleBlock { rows: Vec::new(), labels: Vec::new(), meta: Vec::new(), n_features };
+    let mut block = SampleBlock::new();
     for record in CohortStream::range(config, start, end) {
-        let part = patient_samples(&record, outcome, cfg);
-        block.rows.extend_from_slice(&part.rows);
-        block.labels.extend(part.labels);
-        block.meta.extend(part.meta);
+        block.push_patient(&record, outcome, cfg);
     }
     block
 }
@@ -129,14 +147,9 @@ impl Iterator for SampleStream<'_> {
 
     fn next(&mut self) -> Option<SampleBlock> {
         let records = self.chunks.next()?;
-        let n_features = FeaturePanel::feature_names().len();
-        let mut block =
-            SampleBlock { rows: Vec::new(), labels: Vec::new(), meta: Vec::new(), n_features };
+        let mut block = SampleBlock::new();
         for record in &records {
-            let part = patient_samples(record, self.outcome, &self.cfg);
-            block.rows.extend_from_slice(&part.rows);
-            block.labels.extend(part.labels);
-            block.meta.extend(part.meta);
+            block.push_patient(record, self.outcome, &self.cfg);
         }
         Some(block)
     }
@@ -151,23 +164,13 @@ pub fn collect_samples(
     cfg: &PipelineConfig,
     chunk_patients: usize,
 ) -> SampleSet {
-    let n_features = FeaturePanel::feature_names().len();
-    let mut rows: Vec<f64> = Vec::new();
-    let mut labels = Vec::new();
-    let mut meta = Vec::new();
+    let mut all = SampleBlock::new();
     for block in SampleStream::new(config, outcome, cfg.clone(), chunk_patients) {
-        rows.extend_from_slice(&block.rows);
-        labels.extend(block.labels);
-        meta.extend(block.meta);
+        all.rows.extend_from_slice(&block.rows);
+        all.labels.extend(block.labels);
+        all.meta.extend(block.meta);
     }
-    let nrows = labels.len();
-    SampleSet {
-        features: Matrix::from_vec(rows, nrows, n_features),
-        feature_names: FeaturePanel::feature_names(),
-        labels,
-        meta,
-        outcome,
-    }
+    all.into_sample_set(outcome)
 }
 
 #[cfg(test)]

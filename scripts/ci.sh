@@ -28,6 +28,10 @@ cargo build --release -p msaw-bench --bins   # every figure/table binary + bench
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> benchmark harness tests (perfbench/, its own workspace)"
+# Includes the check that the harness's metric tables match BENCHMARK.json.
+cargo test --manifest-path perfbench/Cargo.toml --quiet
+
 echo "==> cargo test (scalar SIMD fallback forced)"
 # The vector kernels are runtime-dispatched; this pass pins the
 # always-compiled scalar fallback so it stays green on its own.

@@ -14,8 +14,12 @@
 //!   grid completes on the clean remainder.
 //!
 //! Failpoints are process-global, so every test that arms one runs
-//! under a single mutex with the default panic hook silenced.
+//! under a single mutex with failpoint panics kept off stderr (any
+//! other panic still prints).
 
+mod common;
+
+use common::with_faults;
 use msaw_cohort::validate::ViolationReason;
 use msaw_cohort::{generate, CohortConfig, CohortData};
 use msaw_core::{grid, Approach, ExperimentConfig, PipelineError};
@@ -25,24 +29,8 @@ use msaw_preprocess::{
     SampleError, SampleSet,
 };
 use std::io::Cursor;
-use std::sync::Mutex;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Serialize failpoint-armed tests and silence the default panic hook
-/// while injected panics fly (they are caught by the pool, but the
-/// hook would still spam stderr).
-fn with_faults<R>(f: impl FnOnce() -> R) -> R {
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    failpoint::disarm_all();
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    failpoint::disarm_all();
-    out
-}
 
 fn cohort() -> CohortData {
     generate(&CohortConfig::small(42))

@@ -11,9 +11,12 @@
 //! action at `serve::batch` wedges the batcher so tests can pile queue
 //! pressure deterministically; a *panic* action at either site
 //! detonates exactly the dequeue cycle it is armed for. Failpoints are
-//! process-global, so armed tests serialize under one mutex with the
-//! panic hook silenced.
+//! process-global, so armed tests serialize under one mutex with
+//! failpoint panics kept off stderr (any other panic still prints).
 
+mod common;
+
+use common::with_faults;
 use msaw_core::{Approach, ModelKey, ModelRegistry};
 use msaw_gbdt::{Booster, ModelArtifact, Params};
 use msaw_parallel::failpoint;
@@ -24,25 +27,10 @@ use msaw_serve::{
 use msaw_tabular::Matrix;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Serialize failpoint-armed tests and silence the default panic hook
-/// while injected panics fly (they are caught by the supervisor, but
-/// the hook would still spam stderr).
-fn with_faults<R>(f: impl FnOnce() -> R) -> R {
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    failpoint::disarm_all();
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    failpoint::disarm_all();
-    out
-}
 
 /// A small deterministic model; `n_estimators` varies the fit so two
 /// calls with different values produce observably different predictions
