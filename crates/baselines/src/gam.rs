@@ -7,8 +7,7 @@
 //! of the GA²M / EBM family. The model stays fully glass-box: every
 //! prediction decomposes exactly into per-feature contributions.
 
-use msaw_gbdt::binning::BinnedMatrix;
-use msaw_gbdt::{Objective, TrainError};
+use msaw_gbdt::{ChunkedMatrix, Objective, TrainError};
 use msaw_tabular::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -97,25 +96,20 @@ impl AdditiveModel {
         }
 
         let n = data.nrows();
-        let binned = BinnedMatrix::fit(data, params.max_bins);
-        // Pre-resolve each row's bin per feature (missing = last bin).
+        let ncols = data.ncols();
+        let binned = ChunkedMatrix::fit(data, params.max_bins);
+        let codes = binned.codes().expect("a fitted matrix is one in-memory block");
+        // Pre-resolve each row's bin per feature: the in-band code, whose
+        // missing value is the last bin.
         let n_bins_of = |f: usize| binned.cuts(f).len() + 2; // value bins + missing
-        let mut shapes: Vec<ShapeFunction> = (0..data.ncols())
+        let mut shapes: Vec<ShapeFunction> = (0..ncols)
             .map(|f| ShapeFunction {
                 cuts: binned.cuts(f).to_vec(),
                 values: vec![0.0; n_bins_of(f)],
             })
             .collect();
-        let row_bins: Vec<Vec<u32>> = (0..data.ncols())
-            .map(|f| {
-                (0..n)
-                    .map(|i| match binned.bin(i, f) {
-                        Some(b) => b as u32,
-                        None => (n_bins_of(f) - 1) as u32,
-                    })
-                    .collect()
-            })
-            .collect();
+        let row_bins: Vec<Vec<u32>> =
+            (0..ncols).map(|f| (0..n).map(|i| u32::from(codes[i * ncols + f])).collect()).collect();
 
         let base_score = params.objective.base_score(labels);
         let mut raw = vec![base_score; n];

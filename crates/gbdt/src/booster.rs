@@ -1,9 +1,10 @@
-//! Tree growing and the boosting loop.
+//! The boosted ensemble, its training entry points, and the exact
+//! method's boosting loop.
 
-use crate::binning::BinnedMatrix;
+use crate::chunked::{train_chunked_on, ChunkedMatrix};
 use crate::context::{ExactIndex, TrainingContext};
-use crate::engine::{grow_tree, Backend, RoundCtx, TreeScratch};
-use crate::error::{PredictError, TrainError};
+use crate::engine::{grow_tree, RoundCtx, TreeScratch};
+use crate::error::{ChunkError, PredictError, TrainError};
 use crate::forest::FlatForest;
 use crate::objective::Objective;
 use crate::params::{Params, TreeMethod};
@@ -14,15 +15,13 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-/// Per-round evaluation record (train loss, optional eval loss).
+/// Per-round training record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalRecord {
     /// Boosting round (0-based).
     pub round: usize,
     /// Mean training loss after this round.
     pub train_loss: f64,
-    /// Mean loss on the eval set, when one was supplied.
-    pub eval_loss: Option<f64>,
 }
 
 /// Outcome of a training run: the model plus its loss history.
@@ -32,9 +31,6 @@ pub struct TrainReport {
     pub booster: Booster,
     /// Per-round losses.
     pub history: Vec<EvalRecord>,
-    /// Round the returned model was truncated to (early stopping), i.e.
-    /// the number of trees kept.
-    pub best_round: usize,
 }
 
 /// A trained gradient-boosted ensemble.
@@ -48,22 +44,11 @@ pub struct Booster {
 
 impl Booster {
     /// Train on `data` (rows × features, `NaN` = missing) against `labels`.
-    pub fn train(params: &Params, data: &Matrix, labels: &[f64]) -> Result<Booster, TrainError> {
-        Ok(Self::train_with_eval(params, data, labels, None)?.booster)
-    }
-
-    /// Train with an optional `(eval_data, eval_labels)` set for early
-    /// stopping, returning the full loss history.
     ///
-    /// This standalone path prepares only the index its `tree_method`
-    /// needs; repeated fits over subsets of one matrix should go through
-    /// a shared [`TrainingContext`] and [`Self::train_on_rows`] instead.
-    pub fn train_with_eval(
-        params: &Params,
-        data: &Matrix,
-        labels: &[f64],
-        eval: Option<(&Matrix, &[f64])>,
-    ) -> Result<TrainReport, TrainError> {
+    /// This standalone path prepares only what its `tree_method` needs;
+    /// repeated fits over subsets of one matrix should go through a
+    /// shared [`TrainingContext`] and [`Self::train_on_rows`] instead.
+    pub fn train(params: &Params, data: &Matrix, labels: &[f64]) -> Result<Booster, TrainError> {
         params.validate()?;
         let nrows = data.nrows();
         if nrows == 0 {
@@ -72,45 +57,16 @@ impl Booster {
         if labels.len() != nrows {
             return Err(TrainError::LabelLength { rows: nrows, labels: labels.len() });
         }
-        if let Some((ed, el)) = eval {
-            if ed.ncols() != data.ncols() {
-                return Err(TrainError::EvalFeatureCount {
-                    expected: data.ncols(),
-                    actual: ed.ncols(),
-                });
-            }
-            if el.len() != ed.nrows() {
-                return Err(TrainError::LabelLength { rows: ed.nrows(), labels: el.len() });
-            }
-        }
         params.objective.validate_labels(labels)?;
 
-        let map: Vec<usize> = (0..nrows).collect();
         let mut scratch = TreeScratch::new();
         match params.tree_method {
             TreeMethod::Hist { max_bins } => {
-                let binned = BinnedMatrix::fit(data, max_bins);
-                Ok(train_core(
-                    params,
-                    data,
-                    &map,
-                    labels,
-                    Backend::Hist(&binned),
-                    eval,
-                    &mut scratch,
-                ))
+                train_hist(params, &ChunkedMatrix::fit(data, max_bins), None, labels, &mut scratch)
             }
             TreeMethod::Exact => {
-                let index = ExactIndex::fit(data);
-                Ok(train_core(
-                    params,
-                    data,
-                    &map,
-                    labels,
-                    Backend::Exact(&index),
-                    eval,
-                    &mut scratch,
-                ))
+                let map: Vec<usize> = (0..nrows).collect();
+                Ok(train_exact(params, data, &ExactIndex::fit(data), &map, labels, &mut scratch))
             }
         }
     }
@@ -118,7 +74,7 @@ impl Booster {
     /// Train on a row-index view of a shared [`TrainingContext`] — no
     /// `take_rows` copy, no re-binning, no re-sorting. `labels` is
     /// position-aligned with `rows` (`labels[i]` belongs to full-matrix
-    /// row `rows[i]`).
+    /// row `rows[i]`); rows may come in any order.
     ///
     /// For `TreeMethod::Exact` the result is bit-for-bit identical to
     /// materialising the rows and calling [`Self::train`]. For
@@ -156,11 +112,15 @@ impl Booster {
         debug_assert!(rows.iter().all(|&r| r < ctx.nrows()), "row index out of bounds");
         params.objective.validate_labels(labels)?;
 
-        let backend = match params.tree_method {
-            TreeMethod::Hist { .. } => Backend::Hist(ctx.binned()),
-            TreeMethod::Exact => Backend::Exact(ctx.exact()),
-        };
-        Ok(train_core(params, ctx.data(), rows, labels, backend, None, scratch).booster)
+        match params.tree_method {
+            TreeMethod::Hist { .. } => {
+                let rows: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
+                train_hist(params, ctx.binned(), Some(&rows), labels, scratch)
+            }
+            TreeMethod::Exact => {
+                Ok(train_exact(params, ctx.data(), ctx.exact(), rows, labels, scratch))
+            }
+        }
     }
 
     /// Raw (untransformed) score for one row.
@@ -240,7 +200,39 @@ impl Booster {
     }
 }
 
-/// An in-flight boosting fit that can be stepped one round at a time.
+/// Drive an exact fit over a row view of `data` to completion.
+fn train_exact(
+    params: &Params,
+    data: &Matrix,
+    index: &ExactIndex,
+    map: &[usize],
+    labels: &[f64],
+    scratch: &mut TreeScratch,
+) -> Booster {
+    let mut run = FitRun::from_parts(params, data, index, map, labels, scratch);
+    while run.round() {}
+    run.finish().booster
+}
+
+/// Run a histogram fit over (a row view of) an in-memory binned matrix
+/// on the calling thread. (The grower gives the same bits at any worker
+/// count; [`crate::train_chunked_on`] takes one.)
+fn train_hist(
+    params: &Params,
+    matrix: &ChunkedMatrix,
+    rows: Option<&[u32]>,
+    labels: &[f64],
+    scratch: &mut TreeScratch,
+) -> Result<Booster, TrainError> {
+    match train_chunked_on(params, matrix.view(), rows, labels, 1, scratch) {
+        Ok(report) => Ok(report.booster),
+        Err(ChunkError::Train(e)) => Err(e),
+        Err(e) => unreachable!("an in-memory block is never read from disk: {e}"),
+    }
+}
+
+/// An in-flight exact-method fit that can be stepped one round at a
+/// time. (Histogram fits step through [`crate::ChunkedFitRun`].)
 ///
 /// `FitRun` is the boosting loop of [`Booster::train`] with the loop
 /// inside-out: [`FitRun::round`] executes exactly one round, and
@@ -262,23 +254,19 @@ impl Booster {
 pub struct FitRun<'a> {
     params: &'a Params,
     data: &'a Matrix,
+    index: &'a ExactIndex,
     map: &'a [usize],
     labels: &'a [f64],
-    backend: Backend<'a>,
-    eval: Option<(&'a Matrix, &'a [f64])>,
     scratch: &'a mut TreeScratch,
     rng: StdRng,
     base_score: f64,
     history: Vec<EvalRecord>,
-    best_eval: f64,
-    best_round: usize,
     round: usize,
-    stopped: bool,
 }
 
 impl<'a> FitRun<'a> {
-    /// Start a fit over a row-index view of a shared context, with the
-    /// same validation as [`Booster::train_on_rows`].
+    /// Start an exact fit over a row-index view of a shared context,
+    /// with the same validation as [`Booster::train_on_rows`].
     pub fn new(
         params: &'a Params,
         ctx: &'a TrainingContext<'a>,
@@ -287,6 +275,13 @@ impl<'a> FitRun<'a> {
         scratch: &'a mut TreeScratch,
     ) -> Result<FitRun<'a>, TrainError> {
         params.validate()?;
+        if params.tree_method != TreeMethod::Exact {
+            return Err(TrainError::InvalidParam {
+                name: "tree_method",
+                message: "FitRun grows exact trees; histogram fits step through ChunkedFitRun"
+                    .to_string(),
+            });
+        }
         if rows.is_empty() {
             return Err(TrainError::EmptyDataset);
         }
@@ -295,33 +290,24 @@ impl<'a> FitRun<'a> {
         }
         debug_assert!(rows.iter().all(|&r| r < ctx.nrows()), "row index out of bounds");
         params.objective.validate_labels(labels)?;
-        let backend = match params.tree_method {
-            TreeMethod::Hist { .. } => Backend::Hist(ctx.binned()),
-            TreeMethod::Exact => Backend::Exact(ctx.exact()),
-        };
-        Ok(Self::from_parts(params, ctx.data(), rows, labels, backend, None, scratch))
+        Ok(Self::from_parts(params, ctx.data(), ctx.exact(), rows, labels, scratch))
     }
 
-    /// Internal constructor shared by every `train*` entry point;
-    /// callers have already validated their inputs.
+    /// Internal constructor shared by every exact entry point; callers
+    /// have already validated their inputs.
     fn from_parts(
         params: &'a Params,
         data: &'a Matrix,
+        index: &'a ExactIndex,
         map: &'a [usize],
         labels: &'a [f64],
-        backend: Backend<'a>,
-        eval: Option<(&'a Matrix, &'a [f64])>,
         scratch: &'a mut TreeScratch,
     ) -> FitRun<'a> {
         let nrows = map.len();
         let base_score = params.objective.base_score(labels);
-        scratch.prepare(params, nrows, &backend);
+        scratch.prepare(params, nrows, index);
         scratch.raw.clear();
         scratch.raw.resize(nrows, base_score);
-        scratch.eval_raw.clear();
-        if let Some((ed, _)) = eval {
-            scratch.eval_raw.resize(ed.nrows(), base_score);
-        }
         scratch.grad.clear();
         scratch.grad.resize(nrows, 0.0);
         scratch.hess.clear();
@@ -345,26 +331,22 @@ impl<'a> FitRun<'a> {
         FitRun {
             params,
             data,
+            index,
             map,
             labels,
-            backend,
-            eval,
             scratch,
             rng: StdRng::seed_from_u64(params.seed),
             base_score,
             history: Vec::with_capacity(params.n_estimators),
-            best_eval: f64::INFINITY,
-            best_round: 0,
             round: 0,
-            stopped: false,
         }
     }
 
     /// Execute one boosting round. Returns `false` (without doing any
-    /// work) once the fit is complete — all rounds run or early stopping
-    /// fired — so `while run.round() {}` drives a fit to completion.
+    /// work) once every round has run, so `while run.round() {}` drives
+    /// a fit to completion.
     pub fn round(&mut self) -> bool {
-        if self.stopped || self.round >= self.params.n_estimators {
+        if self.round >= self.params.n_estimators {
             return false;
         }
         let params = self.params;
@@ -411,7 +393,7 @@ impl<'a> FitRun<'a> {
         };
         let tree_start = scratch.nodes.len();
         let depth = grow_tree(
-            &self.backend,
+            self.index,
             &rctx,
             rows,
             &mut scratch.leaf_of,
@@ -421,20 +403,18 @@ impl<'a> FitRun<'a> {
         scratch.tree_starts.push(tree_start);
         scratch.tree_depths.push(depth);
 
-        // Single-tree flat compile for the rows training didn't route
-        // (subsample remainder) and the eval set.
-        scratch.single.recompile_single(
-            &scratch.nodes[tree_start..],
-            depth,
-            0.0,
-            params.objective,
-            self.data.ncols(),
-        );
-
         // Update raw predictions on every training row (standard GBM:
         // subsampling affects fitting, not the ensemble update) — from
-        // the leaf cache where available, the flat engine otherwise.
+        // the leaf cache where available, a single-tree flat walk for
+        // the rows outside the subsample.
         if subsampled {
+            scratch.single.recompile_single(
+                &scratch.nodes[tree_start..],
+                depth,
+                0.0,
+                params.objective,
+                self.data.ncols(),
+            );
             for (p, r) in scratch.raw.iter_mut().enumerate() {
                 *r += if scratch.routed[p] {
                     scratch.leaf_of[p]
@@ -448,30 +428,7 @@ impl<'a> FitRun<'a> {
             }
         }
         let train_loss = params.objective.loss(self.labels, &scratch.raw);
-
-        let eval_loss = if let Some((ed, el)) = self.eval {
-            for (i, r) in scratch.eval_raw.iter_mut().enumerate() {
-                *r += scratch.single.sum_row(ed.row(i));
-            }
-            Some(params.objective.loss(el, &scratch.eval_raw))
-        } else {
-            None
-        };
-
-        self.history.push(EvalRecord { round: self.round, train_loss, eval_loss });
-
-        if let Some(el) = eval_loss {
-            if el < self.best_eval - 1e-12 {
-                self.best_eval = el;
-                self.best_round = self.round + 1;
-            } else if params.early_stopping_rounds > 0
-                && self.round + 1 >= self.best_round + params.early_stopping_rounds
-            {
-                self.stopped = true;
-            }
-        } else {
-            self.best_round = self.round + 1;
-        }
+        self.history.push(EvalRecord { round: self.round, train_loss });
         self.round += 1;
         true
     }
@@ -479,11 +436,7 @@ impl<'a> FitRun<'a> {
     /// Materialise the trained model and loss history. Trees are copied
     /// out of the scratch arena here, once per fit.
     pub fn finish(self) -> TrainReport {
-        let mut n_trees = self.scratch.tree_starts.len();
-        // With early stopping, keep only the trees up to the best round.
-        if self.eval.is_some() && self.params.early_stopping_rounds > 0 {
-            n_trees = n_trees.min(self.best_round.max(1));
-        }
+        let n_trees = self.scratch.tree_starts.len();
         let mut trees: Vec<Tree> = Vec::with_capacity(n_trees);
         for t in 0..n_trees {
             let start = self.scratch.tree_starts[t];
@@ -491,7 +444,6 @@ impl<'a> FitRun<'a> {
                 self.scratch.tree_starts.get(t + 1).copied().unwrap_or(self.scratch.nodes.len());
             trees.push(Tree::from_nodes(self.scratch.nodes[start..end].to_vec()));
         }
-        let kept = trees.len();
         TrainReport {
             booster: Booster {
                 trees,
@@ -500,25 +452,8 @@ impl<'a> FitRun<'a> {
                 n_features: self.data.ncols(),
             },
             history: self.history,
-            best_round: kept,
         }
     }
-}
-
-/// The boosting loop, shared by the standalone and shared-context entry
-/// points: drive a [`FitRun`] to completion against the given scratch.
-fn train_core(
-    params: &Params,
-    data: &Matrix,
-    map: &[usize],
-    labels: &[f64],
-    backend: Backend,
-    eval: Option<(&Matrix, &[f64])>,
-    scratch: &mut TreeScratch,
-) -> TrainReport {
-    let mut run = FitRun::from_parts(params, data, map, labels, backend, eval, scratch);
-    while run.round() {}
-    run.finish()
 }
 
 #[cfg(test)]
@@ -554,7 +489,13 @@ mod tests {
     fn training_loss_is_monotone_nonincreasing() {
         let (x, y) = toy_regression(100);
         let params = Params { n_estimators: 30, ..Params::regression() };
-        let report = Booster::train_with_eval(&params, &x, &y, None).unwrap();
+        let ctx = TrainingContext::new(&x);
+        let rows: Vec<usize> = (0..x.nrows()).collect();
+        let mut scratch = TreeScratch::new();
+        let mut run = FitRun::new(&params, &ctx, &rows, &y, &mut scratch).unwrap();
+        while run.round() {}
+        let report = run.finish();
+        assert_eq!(report.history.len(), 30);
         for w in report.history.windows(2) {
             assert!(
                 w[1].train_loss <= w[0].train_loss + 1e-9,
@@ -563,6 +504,20 @@ mod tests {
                 w[1].train_loss
             );
         }
+    }
+
+    #[test]
+    fn fit_run_is_the_exact_method_only() {
+        let (x, y) = toy_regression(20);
+        let params =
+            Params { tree_method: TreeMethod::Hist { max_bins: 16 }, ..Params::regression() };
+        let ctx = TrainingContext::new(&x);
+        let rows: Vec<usize> = (0..x.nrows()).collect();
+        let mut scratch = TreeScratch::new();
+        assert!(matches!(
+            FitRun::new(&params, &ctx, &rows, &y, &mut scratch),
+            Err(TrainError::InvalidParam { name: "tree_method", .. })
+        ));
     }
 
     #[test]
@@ -577,22 +532,6 @@ mod tests {
             assert!((*p >= 0.5) == (*t == 1.0), "p={p} t={t}");
             assert!((0.0..=1.0).contains(p));
         }
-    }
-
-    #[test]
-    fn early_stopping_truncates_trees() {
-        let (x, y) = toy_regression(120);
-        // Train on the first 80 rows, eval on the last 40.
-        let train_idx: Vec<usize> = (0..80).collect();
-        let eval_idx: Vec<usize> = (80..120).collect();
-        let xt = x.take_rows(&train_idx);
-        let yt: Vec<f64> = train_idx.iter().map(|&i| y[i]).collect();
-        let xe = x.take_rows(&eval_idx);
-        let ye: Vec<f64> = eval_idx.iter().map(|&i| y[i]).collect();
-        let params = Params { n_estimators: 500, early_stopping_rounds: 5, ..Params::regression() };
-        let report = Booster::train_with_eval(&params, &xt, &yt, Some((&xe, &ye))).unwrap();
-        assert!(report.booster.trees().len() < 500, "early stopping never fired");
-        assert_eq!(report.booster.trees().len(), report.best_round);
     }
 
     #[test]

@@ -1,50 +1,67 @@
-//! Out-of-core histogram training over a chunked binned matrix.
+//! The histogram tree grower, over a binned matrix cut into row blocks.
 //!
-//! The in-memory hist path ([`crate::Booster::train`] with
-//! [`TreeMethod::Hist`]) holds the whole row-major `u16` code buffer at
-//! once. This module cuts that buffer into fixed-size row blocks — kept
-//! in memory or spilled to a checksummed on-disk file — and grows each
-//! tree level by level, streaming the blocks through the partition and
-//! histogram-accumulation passes. Peak working memory is one block of
-//! codes plus the per-row scalar state boosting needs anyway
-//! (`raw`/`grad`/`hess`/`node_of`), independent of how many blocks the
-//! dataset spans.
+//! A [`ChunkedMatrix`] holds every row's `u16` bin codes row-major,
+//! with an in-band missing code (a feature with `c` cuts codes present
+//! values `0..=c` and missing as `c + 1`, so a histogram of `c + 2`
+//! slots is indexed straight off the codes). The rows are cut into
+//! fixed-size blocks kept in memory or spilled to a checksummed file.
+//! [`ChunkedFitRun`] is the crate's one histogram grower: it grows each
+//! tree level by level, streaming the blocks through the root,
+//! partition and histogram-accumulation passes. In-memory
+//! `TreeMethod::Hist` training (`Booster::train`,
+//! `Booster::train_on_rows`, a `TrainingContext`) runs it over a single
+//! in-memory block made by [`ChunkedMatrix::fit`]; `run_scale` and the
+//! sharded grid run it over many blocks, often spilled. Peak working
+//! memory is one block of codes plus the per-position scalar state
+//! boosting needs anyway (`raw`/`grad`/`hess`/`node_of`), independent
+//! of how many blocks the dataset spans.
 //!
-//! # Bit-identity to the in-memory path
+//! # Determinism
 //!
-//! [`train_chunked`] is bitwise-equal to the in-memory hist trainer
-//! (pinned by `tests/chunked_equivalence.rs`) because every float is
-//! produced by the same operations in the same order:
+//! A fit is the same bits whatever the block size, store, prefetch
+//! setting or worker count, because every float comes from the same
+//! operations in the same order:
 //!
-//! * **Cuts** — [`CutSketch`] merges per-chunk sorted distinct values;
-//!   below its capacity the merged set *is* the column's distinct set,
-//!   so [`cuts_from_distinct`] sees identical input.
-//! * **Histograms** — blocks are streamed in ascending row order and
-//!   rows within a block are ascending, so every `(node, feature, bin)`
-//!   cell receives the same IEEE additions in the same order as the
-//!   recursive grower, whose node row lists stay ascending when
-//!   `subsample == 1.0`. The subtraction trick is the same two
-//!   subtractions per cell.
-//! * **Splits** — each node's scan calls the engine's own
-//!   [`scan_hist`] over features in index order with the same
-//!   [`BestTracker`], so candidate offers and tie-breaks are identical.
-//! * **Tree shape** — the recursion emits nodes in DFS pre-order
-//!   (parent, left subtree, right subtree); the level-order grower here
-//!   re-emits its arena in exactly that order once the tree is grown.
+//! * **Cuts** — [`ChunkedMatrix::fit`] derives each column's cuts from
+//!   its sorted distinct present values; [`CutSketch`] merges per-chunk
+//!   distinct values and, below its capacity, holds that same set, so
+//!   `cuts_from_distinct` sees identical input.
+//! * **Visit order** — each round walks its positions in one order: the
+//!   identity, or with `subsample < 1` the round's shuffled row sample
+//!   (drawn with the exact engine's RNG calls: positions shuffled and
+//!   truncated, then columns). The root sums, every histogram add and
+//!   the partition pass follow it, so each `(node, feature, bin)` cell
+//!   receives its additions in visit order. Blocks stream in ascending
+//!   row order, so a multi-block or spilled matrix needs ascending rows
+//!   and the identity order; a single in-memory block takes any row
+//!   order and any sample.
+//! * **Histograms** — only the smaller child of a split is accumulated;
+//!   the larger is `parent − smaller`, one subtraction per cell, and
+//!   children at the depth cap (leaves, never scanned) get none. The
+//!   AVX2/AVX-512 kernels vectorise only slot-index arithmetic, so they
+//!   add the same floats in the same order as the scalar pass.
+//! * **Splits** — each node scans the round's sampled columns in draw
+//!   order with `scan_hist` and the shared `BestTracker`, whose
+//!   tie-break is a total order on (gain, feature, threshold).
+//! * **Tree shape** — the level-order arena is emitted in DFS pre-order
+//!   (parent, left subtree, right subtree).
 //!
-//! Worker parallelism fans the accumulation pass across *nodes* (each
-//! worker owns disjoint histograms and scans each block in row order),
-//! so any worker count produces the same bytes.
+//! Worker parallelism fans the accumulation pass across *nodes* or, for
+//! a single node, across *feature ranges*; either way each cell is
+//! owned by one worker and sees its additions in visit order.
 
-use crate::binning::{cuts_from_distinct, encode_value};
+use crate::binning::{cuts_from_distinct, encode_value, fit_cuts};
 use crate::booster::{Booster, EvalRecord, TrainReport};
-
 use crate::engine::TreeScratch;
 use crate::error::{ChunkError, TrainError};
 use crate::fnv1a_64;
 use crate::params::{Params, TreeMethod};
+use crate::simd::SimdLevel;
 use crate::split::{scan_hist, BestTracker, SplitCandidate, SplitConfig};
 use crate::tree::{Node, Tree};
+use msaw_tabular::Matrix;
+use rand::prelude::*;
+use rand::rngs::StdRng;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -57,17 +74,17 @@ pub const DEFAULT_BLOCK_ROWS: usize = 16 * 1024;
 
 /// Default per-feature capacity of the [`CutSketch`]: below this many
 /// distinct values the sketch is exact and the resulting cuts are
-/// byte-identical to [`crate::binning::BinnedMatrix::fit`] on the
-/// materialised matrix.
+/// byte-identical to [`ChunkedMatrix::fit`] on the materialised matrix.
 pub const DEFAULT_SKETCH_DISTINCT: usize = 1 << 16;
 
 /// Magic tag of the spilled chunk file format.
 const MAGIC: &[u8; 4] = b"MSCB";
 /// Spill format version.
 const VERSION: u16 = 1;
-/// Upper bound on per-feature cut counts accepted from a spill header
-/// (cuts are bounded by `max_bins − 1 < u16::MAX` at fit time).
-const MAX_CUTS_PER_FEATURE: usize = u16::MAX as usize;
+/// Upper bound on per-feature cut counts (cuts are bounded by
+/// `max_bins − 1 < u16::MAX` at fit time), so a feature's missing code
+/// `cuts + 1` always fits a `u16`.
+const MAX_CUTS_PER_FEATURE: usize = u16::MAX as usize - 1;
 
 // ---------------------------------------------------------------------
 // Cut sketch
@@ -230,6 +247,10 @@ impl ChunkedMatrixBuilder {
     pub fn in_memory(cuts: Vec<Vec<f64>>, block_rows: usize) -> ChunkedMatrixBuilder {
         let ncols = cuts.len();
         assert!(ncols > 0, "at least one feature required");
+        assert!(
+            cuts.iter().all(|c| c.len() <= MAX_CUTS_PER_FEATURE),
+            "a feature's missing code must fit a u16"
+        );
         ChunkedMatrixBuilder {
             cuts,
             ncols,
@@ -281,9 +302,27 @@ impl ChunkedMatrixBuilder {
     /// parallel pass-2 fan-out: workers encode their chunks off-thread
     /// with [`encode_rows`] and the builder appends them in chunk
     /// order, so block boundaries — and therefore the sealed spill
-    /// bytes — are identical to a serial [`push_rows`] build.
+    /// bytes — are identical to a serial [`Self::push_rows`] build. A code
+    /// past its feature's missing code is refused (`code range`), as a
+    /// spilled block's is on load: the grower indexes histograms with
+    /// the codes unchecked.
     pub fn push_encoded(&mut self, codes: &[u16]) -> Result<(), ChunkError> {
         assert!(codes.len().is_multiple_of(self.ncols), "row-major chunk width mismatch");
+        for (i, row) in codes.chunks_exact(self.ncols).enumerate() {
+            for (j, (&code, cuts)) in row.iter().zip(&self.cuts).enumerate() {
+                let missing = cuts.len() as u16 + 1;
+                if code > missing {
+                    return Err(ChunkError::Corrupt {
+                        what: "code range",
+                        detail: format!(
+                            "row {}: code {code} exceeds missing sentinel {missing} for \
+                             feature {j}",
+                            self.nrows + i
+                        ),
+                    });
+                }
+            }
+        }
         let block_len = self.block_rows * self.ncols;
         let mut rest = codes;
         while !rest.is_empty() {
@@ -480,11 +519,10 @@ enum Store {
     Disk(DiskStore),
 }
 
-/// A binned matrix cut into fixed-size row blocks — the out-of-core
-/// counterpart of [`crate::binning::BinnedMatrix`]. Blocks live in
-/// memory or in a checksummed spill file; either way
-/// [`train_chunked`] streams them in ascending order and never holds
-/// more than one at a time (disk) or a borrowed slice (memory).
+/// A binned matrix cut into fixed-size row blocks. Blocks live in
+/// memory or in a checksummed spill file; either way the grower streams
+/// them in ascending order and never holds more than one at a time
+/// (disk) or a borrowed slice (memory).
 #[derive(Debug)]
 pub struct ChunkedMatrix {
     cuts: Vec<Vec<f64>>,
@@ -498,6 +536,37 @@ pub struct ChunkedMatrix {
 }
 
 impl ChunkedMatrix {
+    /// Quantise `data` into one in-memory block: each column's cuts
+    /// come from its exact sorted distinct present values (at most
+    /// `max_bins` bins), never from a capacity-bounded sketch. This is
+    /// how in-memory histogram training bins a matrix;
+    /// [`crate::binning::fit_count`] counts the calls.
+    pub fn fit(data: &Matrix, max_bins: u16) -> ChunkedMatrix {
+        let cuts = fit_cuts(data, max_bins);
+        let mut codes = Vec::with_capacity(data.nrows() * data.ncols());
+        for row in data.rows() {
+            codes.extend(row.iter().zip(&cuts).map(|(&v, c)| encode_value(v, c)));
+        }
+        ChunkedMatrix::from_codes(data.nrows(), cuts, codes)
+    }
+
+    /// One in-memory block from per-column parts computed elsewhere —
+    /// the `ContextCache` path, which scatters each column's (possibly
+    /// recalled) codes into the row-major `codes` buffer.
+    pub(crate) fn from_codes(nrows: usize, cuts: Vec<Vec<f64>>, codes: Vec<u16>) -> ChunkedMatrix {
+        let ncols = cuts.len();
+        assert_eq!(codes.len(), nrows * ncols, "row-major code buffer size mismatch");
+        let blocks = if nrows == 0 { Vec::new() } else { vec![codes] };
+        ChunkedMatrix {
+            cuts,
+            ncols,
+            nrows,
+            block_rows: nrows.max(1),
+            store: Store::Memory { blocks },
+            prefetch: true,
+        }
+    }
+
     /// Row count.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -526,6 +595,22 @@ impl ChunkedMatrix {
     /// Cut points for one feature.
     pub fn cuts(&self, feature: usize) -> &[f64] {
         &self.cuts[feature]
+    }
+
+    /// Every feature's cut points (what a persisted model artifact
+    /// records for the histogram method).
+    pub fn cut_sets(&self) -> &[Vec<f64>] {
+        &self.cuts
+    }
+
+    /// The row-major codes of a single in-memory block (`codes[row *
+    /// ncols + feature]`); `None` when the matrix is spilled or spans
+    /// several blocks.
+    pub fn codes(&self) -> Option<&[u16]> {
+        match &self.store {
+            Store::Memory { blocks } if blocks.len() == 1 => Some(&blocks[0]),
+            _ => None,
+        }
     }
 
     /// Whether the blocks are spilled to disk.
@@ -951,7 +1036,7 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Out-of-core training
+// Training
 // ---------------------------------------------------------------------
 
 /// What a grown arena node has become.
@@ -988,8 +1073,8 @@ struct Route {
 }
 
 /// Resolve position `pos` of the training view to its matrix row.
-/// `None` trains on every row (position == row); `Some` trains on a
-/// strictly ascending row subset.
+/// `None` trains on every row (position == row); `Some` maps each
+/// position to its row.
 #[inline(always)]
 fn row_at(rows: Option<&[u32]>, pos: usize) -> usize {
     match rows {
@@ -998,69 +1083,230 @@ fn row_at(rows: Option<&[u32]>, pos: usize) -> usize {
     }
 }
 
-/// Accumulate one block's positions into the histograms of the
-/// `my_targets` nodes owned by this worker. `owner_of[node] == target
-/// index` (or `u32::MAX`); positions are visited in ascending order so
-/// each cell sees the same IEEE additions as the in-memory grower.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_targets(
-    codes: &[u16],
+/// The positions one streamed block contributes, in the round's visit
+/// order, and where their codes live.
+#[derive(Clone, Copy)]
+struct BlockRows<'a> {
+    codes: &'a [u16],
     stride: usize,
     col_start: usize,
-    ncols: usize,
     base_row: usize,
+    rows: Option<&'a [u32]>,
+    /// Visit index → position: `None` is the identity, `Some` the
+    /// round's shuffled sample.
+    visit: Option<&'a [u32]>,
+}
+
+impl BlockRows<'_> {
+    /// Position at visit index `k`.
+    #[inline(always)]
+    fn pos(&self, k: usize) -> usize {
+        match self.visit {
+            None => k,
+            Some(v) => v[k] as usize,
+        }
+    }
+
+    /// The codes of position `pos`'s row, from view feature `j0` on.
+    #[inline(always)]
+    fn codes_from(&self, pos: usize, j0: usize) -> &[u16] {
+        let local = row_at(self.rows, pos) - self.base_row;
+        &self.codes[local * self.stride + self.col_start + j0..]
+    }
+}
+
+/// One accumulation pass: visit indices `lo..hi` of a block add their
+/// `(grad, hess)` into `hists[target(pos)]` (`u32::MAX` skips the
+/// position) over the view features `j0..j0 + offsets.len()`, where
+/// feature `j0 + c`'s slots start at `offsets[c] - base` of each target
+/// histogram.
+struct Accumulate<'a, T> {
+    src: BlockRows<'a>,
     lo: usize,
     hi: usize,
-    rows: Option<&[u32]>,
-    bounds: &[usize],
-    node_of: &[u32],
-    owner_of: &[u32],
-    grad: &[f64],
-    hess: &[f64],
-    my_targets: std::ops::Range<usize>,
-    hists: &mut [Vec<[f64; 2]>],
-) {
-    for pos in lo..hi {
-        let t = owner_of[node_of[pos] as usize];
-        if t == u32::MAX || !my_targets.contains(&(t as usize)) {
-            continue;
+    j0: usize,
+    offsets: &'a [i32],
+    base: usize,
+    grad: &'a [f64],
+    hess: &'a [f64],
+    target: T,
+}
+
+impl<T: Fn(usize) -> u32> Accumulate<'_, T> {
+    /// Run the pass with the kernel for `level`. Per `(feature, slot)`
+    /// cell the additions happen in visit order on every level — the
+    /// AVX2/AVX-512 kernels vectorise only the slot-index arithmetic
+    /// and apply the `(g, h)` pair-adds one feature at a time — so the
+    /// vector passes are bit-identical to the scalar one, and a
+    /// histogram split across feature ranges or targets is
+    /// bit-identical to one built in a single pass. Nothing allocates.
+    fn run<H: AsMut<[[f64; 2]]>>(&self, level: SimdLevel, hists: &mut [H]) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if level >= SimdLevel::Avx512 {
+                // SAFETY: `active_level` never reports Avx512 without
+                // AVX-512F support, and `SlotLayout` only hands out a
+                // vector level when every slot index fits an i32.
+                unsafe { self.run_avx512(hists) };
+                return;
+            }
+            if level >= SimdLevel::Avx2 {
+                // SAFETY: as above, for AVX2.
+                unsafe { self.run_avx2(hists) };
+                return;
+            }
         }
-        let hist = &mut hists[t as usize - my_targets.start];
-        let local = row_at(rows, pos) - base_row;
-        let row = &codes[local * stride + col_start..local * stride + col_start + ncols];
-        let (g, h) = (grad[pos], hess[pos]);
-        for (j, &code) in row.iter().enumerate() {
-            let cell = &mut hist[bounds[j] + code as usize];
-            cell[0] += g;
-            cell[1] += h;
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = level;
+        self.run_scalar(hists);
+    }
+
+    /// The scalar pass (the always-compiled fallback).
+    fn run_scalar<H: AsMut<[[f64; 2]]>>(&self, hists: &mut [H]) {
+        let nf = self.offsets.len();
+        for k in self.lo..self.hi {
+            let pos = self.src.pos(k);
+            let t = (self.target)(pos);
+            if t == u32::MAX {
+                continue;
+            }
+            let hist = hists[t as usize].as_mut();
+            let row = &self.src.codes_from(pos, self.j0)[..nf];
+            let (g, h) = (self.grad[pos], self.hess[pos]);
+            for (&off, &code) in self.offsets.iter().zip(row) {
+                let cell = &mut hist[off as usize - self.base + code as usize];
+                cell[0] += g;
+                cell[1] += h;
+            }
+        }
+    }
+
+    /// The AVX2 pass: 8 row codes at a time are widened and added to
+    /// their slot offsets in one vector op, then the 8 `(g, h)`
+    /// pair-adds land on their (always distinct) cells in feature
+    /// order.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_avx2<H: AsMut<[[f64; 2]]>>(&self, hists: &mut [H]) {
+        use crate::simd::x86::{pack_gh, pair_add};
+        use std::arch::x86_64::*;
+        let nf = self.offsets.len();
+        let full = nf / 8 * 8;
+        let base = _mm256_set1_epi32(self.base as i32);
+        for k in self.lo..self.hi {
+            let pos = self.src.pos(k);
+            let t = (self.target)(pos);
+            if t == u32::MAX {
+                continue;
+            }
+            let hist = hists[t as usize].as_mut();
+            let row = &self.src.codes_from(pos, self.j0)[..nf];
+            let gh = pack_gh(self.grad[pos], self.hess[pos]);
+            let mut c = 0usize;
+            while c < full {
+                let raw = _mm_loadu_si128(row.as_ptr().add(c) as *const __m128i);
+                let off = _mm256_loadu_si256(self.offsets.as_ptr().add(c) as *const __m256i);
+                let slots =
+                    _mm256_add_epi32(_mm256_cvtepu16_epi32(raw), _mm256_sub_epi32(off, base));
+                let mut s = [0i32; 8];
+                _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, slots);
+                for &si in &s {
+                    // SAFETY: a code never exceeds its feature's missing
+                    // code `cuts + 1` — `encode_value` produces codes for
+                    // `fit`, `from_codes` and `push_rows`, `push_encoded`
+                    // refuses larger ones and spilled blocks are
+                    // range-checked on load — so slot `offsets[c] - base
+                    // + code` lies below `bounds[j0 + c + 1] - base`,
+                    // inside every target histogram (`total_slots` long,
+                    // or the `bounds[j0]..` part of one).
+                    pair_add(hist.get_unchecked_mut(si as usize), gh);
+                }
+                c += 8;
+            }
+            while c < nf {
+                let slot = self.offsets[c] as usize - self.base + row[c] as usize;
+                pair_add(&mut hist[slot], gh);
+                c += 1;
+            }
+        }
+    }
+
+    /// The AVX-512 pass: the AVX2 structure widened to 16 codes per
+    /// step (`vpmovzxwd zmm`); the pair-adds stay sequential in feature
+    /// order.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn run_avx512<H: AsMut<[[f64; 2]]>>(&self, hists: &mut [H]) {
+        use crate::simd::x86::{pack_gh, pair_add};
+        use std::arch::x86_64::*;
+        let nf = self.offsets.len();
+        let full = nf / 16 * 16;
+        let base = _mm512_set1_epi32(self.base as i32);
+        for k in self.lo..self.hi {
+            let pos = self.src.pos(k);
+            let t = (self.target)(pos);
+            if t == u32::MAX {
+                continue;
+            }
+            let hist = hists[t as usize].as_mut();
+            let row = &self.src.codes_from(pos, self.j0)[..nf];
+            let gh = pack_gh(self.grad[pos], self.hess[pos]);
+            let mut c = 0usize;
+            while c < full {
+                let raw = _mm256_loadu_si256(row.as_ptr().add(c) as *const __m256i);
+                let off = _mm512_loadu_si512(self.offsets.as_ptr().add(c) as *const _);
+                let slots =
+                    _mm512_add_epi32(_mm512_cvtepu16_epi32(raw), _mm512_sub_epi32(off, base));
+                let mut s = [0i32; 16];
+                _mm512_storeu_si512(s.as_mut_ptr() as *mut _, slots);
+                for &si in &s {
+                    // SAFETY: as in `run_avx2`.
+                    pair_add(hist.get_unchecked_mut(si as usize), gh);
+                }
+                c += 16;
+            }
+            while c < nf {
+                let slot = self.offsets[c] as usize - self.base + row[c] as usize;
+                pair_add(&mut hist[slot], gh);
+                c += 1;
+            }
         }
     }
 }
 
-/// Feature-parallel twin of [`accumulate_targets`] for the
-/// single-target case (the root pass every round, and levels that left
-/// only one small child): workers own disjoint *feature ranges* of one
-/// histogram instead of disjoint nodes. Every cell still receives the
-/// same additions in ascending position order — the split is across
-/// cells, never within one — so the result is bitwise identical to the
-/// serial pass for any worker count.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_features_parallel(
-    codes: &[u16],
-    stride: usize,
-    col_start: usize,
-    base_row: usize,
-    lo: usize,
-    hi: usize,
-    rows: Option<&[u32]>,
-    owner: Option<(&[u32], &[u32])>,
+/// The subtraction trick: `parent − child` slot-wise gives the
+/// sibling's histogram without touching its rows. The AVX2 path
+/// subtracts four f64 lanes at a time — still one IEEE subtraction per
+/// cell component, bit-identical to the scalar loop.
+fn subtract_hist(level: SimdLevel, parent: &mut [[f64; 2]], child: &[[f64; 2]]) {
+    #[cfg(target_arch = "x86_64")]
+    if level >= SimdLevel::Avx2 {
+        // SAFETY: `active_level` never reports Avx2-or-above without
+        // AVX2 support (Avx512 implies it).
+        unsafe { crate::simd::x86::sub_f64_avx2(parent.as_flattened_mut(), child.as_flattened()) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = level;
+    for (ps, cs) in parent.iter_mut().zip(child) {
+        ps[0] -= cs[0];
+        ps[1] -= cs[1];
+    }
+}
+
+/// Feature-parallel accumulation of one histogram: workers own
+/// disjoint *feature ranges* of `hist` rather than disjoint nodes.
+/// Every cell still receives the same additions in visit order — the
+/// split is across cells, never within one — so the result is bitwise
+/// identical to the serial pass for any worker count.
+fn accumulate_features_parallel<T: Fn(usize) -> u32 + Sync>(
+    pass: &Accumulate<'_, T>,
+    level: SimdLevel,
     bounds: &[usize],
-    grad: &[f64],
-    hess: &[f64],
     workers: usize,
     hist: &mut [[f64; 2]],
 ) {
-    let ncols = bounds.len() - 1;
+    let ncols = pass.offsets.len();
     let per = ncols.div_ceil(workers.min(ncols));
     std::thread::scope(|s| {
         let mut rest = hist;
@@ -1071,25 +1317,18 @@ fn accumulate_features_parallel(
             let (part, tail) = rest.split_at_mut(bounds[j1] - consumed);
             rest = tail;
             consumed = bounds[j1];
-            let range = j0..j1;
-            s.spawn(move || {
-                let offset = bounds[range.start];
-                for pos in lo..hi {
-                    if let Some((node_of, owner_of)) = owner {
-                        if owner_of[node_of[pos] as usize] != 0 {
-                            continue;
-                        }
-                    }
-                    let local = row_at(rows, pos) - base_row;
-                    let row = &codes[local * stride + col_start..];
-                    let (g, h) = (grad[pos], hess[pos]);
-                    for j in range.clone() {
-                        let cell = &mut part[bounds[j] - offset + row[j] as usize];
-                        cell[0] += g;
-                        cell[1] += h;
-                    }
-                }
-            });
+            let slice = Accumulate {
+                src: pass.src,
+                lo: pass.lo,
+                hi: pass.hi,
+                j0,
+                offsets: &pass.offsets[j0..j1],
+                base: bounds[j0],
+                grad: pass.grad,
+                hess: pass.hess,
+                target: &pass.target,
+            };
+            s.spawn(move || slice.run(level, &mut [part]));
             j0 = j1;
         }
     });
@@ -1108,27 +1347,118 @@ fn take_hist(pool: &mut Vec<Vec<[f64; 2]>>, total_slots: usize) -> Vec<[f64; 2]>
     h
 }
 
-/// Per-fit buffer arena for the chunked trainer — the out-of-core
-/// counterpart of the engine pools inside [`TreeScratch`], where it
-/// lives as the `chunk` field. [`ChunkedFitRun::new`] sizes every
-/// buffer to the fit's worst case (tree arena, routing maps, histogram
-/// pool, per-position scalars, prefetch code buffers), so steady-state
-/// rounds perform zero heap allocations, pinned by
-/// `tests/alloc_regression.rs`.
+/// Bench/test hook: accumulate the root-node histogram of `matrix`
+/// over every row (serial, the active kernel level) and return a
+/// checksum of its cells. This is the accumulation kernel `bench_grid`
+/// times and `perf_check` gates; the checksum keeps the work
+/// observable so the timing loop cannot be optimised away.
+#[doc(hidden)]
+pub fn build_hists_for_bench(matrix: &ChunkedMatrix, grad: &[f64], hess: &[f64]) -> f64 {
+    let n = matrix.nrows();
+    assert_eq!(grad.len(), n, "one gradient per row");
+    assert_eq!(hess.len(), n, "one hessian per row");
+    let layout = SlotLayout::new(&matrix.view());
+    let level = layout.level();
+    let mut hist = vec![[0.0; 2]; layout.total_slots()];
+    let mut bufs = Vec::new();
+    let blocks: Vec<u32> = (0..matrix.n_blocks() as u32).collect();
+    stream_blocks(matrix, &blocks, &mut bufs, |b, codes| {
+        let base_row = b * matrix.block_rows();
+        let src = BlockRows {
+            codes,
+            stride: matrix.ncols(),
+            col_start: 0,
+            base_row,
+            rows: None,
+            visit: None,
+        };
+        Accumulate {
+            src,
+            lo: base_row,
+            hi: base_row + matrix.rows_in_block(b),
+            j0: 0,
+            offsets: &layout.offsets,
+            base: 0,
+            grad,
+            hess,
+            target: |_| 0,
+        }
+        .run(level, &mut [&mut hist[..]]);
+    })
+    .expect("bench matrices are in memory");
+    hist.iter().map(|c| c[0] + c[1]).sum()
+}
+
+/// A view's histogram layout: view feature `j` owns slots
+/// `bounds[j]..bounds[j + 1]` — bins `0..=cuts` plus the trailing
+/// missing slot that the in-band missing code indexes directly.
+#[derive(Debug, Default)]
+struct SlotLayout {
+    bounds: Vec<usize>,
+    /// `bounds[..ncols]` as the vector kernels' i32 slot offsets.
+    offsets: Vec<i32>,
+}
+
+impl SlotLayout {
+    fn new(view: &ChunkedView<'_>) -> SlotLayout {
+        let mut layout = SlotLayout::default();
+        layout.fill(view);
+        layout
+    }
+
+    fn fill(&mut self, view: &ChunkedView<'_>) {
+        self.bounds.clear();
+        self.bounds.push(0);
+        for j in 0..view.ncols {
+            let prev = self.bounds[j];
+            self.bounds.push(prev + view.cuts(j).len() + 2);
+        }
+        self.offsets.clear();
+        self.offsets.extend(self.bounds[..view.ncols].iter().map(|&b| b as i32));
+    }
+
+    fn total_slots(&self) -> usize {
+        self.bounds[self.bounds.len() - 1]
+    }
+
+    /// The kernel level to accumulate with, read once so a concurrent
+    /// override cannot switch kernels mid-histogram. The vector kernels
+    /// index with i32 slot offsets, so a layout past `i32::MAX` slots
+    /// runs scalar.
+    fn level(&self) -> SimdLevel {
+        if self.total_slots() <= i32::MAX as usize {
+            crate::simd::active_level()
+        } else {
+            SimdLevel::Scalar
+        }
+    }
+}
+
+/// Per-fit buffer arena for the histogram grower, kept in
+/// [`TreeScratch`] as its `chunk` field. [`ChunkedFitRun::new`] sizes
+/// every buffer to the fit's worst case (tree arena, routing maps,
+/// histogram pool, per-position scalars, the round's row and column
+/// samples, prefetch code buffers), so steady-state rounds perform zero
+/// heap allocations, pinned by `tests/alloc_regression.rs`.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkPools {
-    /// Position-indexed raw scores / gradients / hessians / node ids.
+    /// Position-indexed raw scores / gradients / hessians / node ids
+    /// (`u32::MAX`: outside this round's row sample).
     raw: Vec<f64>,
     grad: Vec<f64>,
     hess: Vec<f64>,
     node_of: Vec<u32>,
-    /// Histogram layout: view feature `j` owns `bounds[j]..bounds[j+1]`.
-    bounds: Vec<usize>,
+    /// Histogram layout of the view being trained.
+    layout: SlotLayout,
     /// Blocks with at least one training position, ascending.
     visit_blocks: Vec<u32>,
     /// Per-block position ranges (`block_lo[b]..block_hi[b]`).
     block_lo: Vec<u32>,
     block_hi: Vec<u32>,
+    /// The round's row sample, in visit order (subsampled rounds).
+    visit: Vec<u32>,
+    /// The round's column sample, in draw order.
+    cols: Vec<usize>,
     /// Level-order build arena of the current tree.
     arena: Vec<BuildNode>,
     frontier: Vec<u32>,
@@ -1148,19 +1478,26 @@ pub(crate) struct ChunkPools {
     prefetch: Vec<Vec<u16>>,
 }
 
-/// An in-progress chunked fit, the out-of-core mirror of
-/// [`crate::FitRun`]: [`ChunkedFitRun::new`] validates and sizes the
-/// scratch, each [`ChunkedFitRun::round`] streams the matrix blocks
-/// through the root, partition and accumulation passes of one boosting
-/// round, and [`ChunkedFitRun::finish`] materialises the model. All
-/// per-round buffers live in the borrowed [`TreeScratch`]'s chunk
-/// arena, so driving many fits through one (per-worker) scratch keeps
+/// An in-progress histogram fit — the crate's one histogram tree
+/// grower. [`ChunkedFitRun::new`] validates and sizes the scratch,
+/// each [`ChunkedFitRun::round`] streams the matrix blocks through the
+/// root, partition and accumulation passes of one boosting round, and
+/// [`ChunkedFitRun::finish`] materialises the model. All per-round
+/// buffers live in the borrowed [`TreeScratch`]'s chunk arena, so
+/// driving many fits through one (per-worker) scratch keeps
 /// steady-state rounds allocation-free.
 ///
-/// `rows` optionally restricts training to a strictly ascending row
-/// subset (the sharded grid trains fold fits this way); positions —
+/// `rows` optionally restricts training to a row subset; positions —
 /// labels, gradients, raw scores — then index the subset, exactly like
-/// the in-memory engine's position space.
+/// the exact engine's position space. Each round walks its positions
+/// in one *visit order* — the identity, or with `subsample < 1` the
+/// round's shuffled sample — in the root sums, the histogram adds and
+/// the partition pass, which fixes the order of every floating-point
+/// addition. A single in-memory block takes any row order and row or
+/// column subsampling (in-memory `TreeMethod::Hist` training runs
+/// here); a multi-block or spilled matrix streams its blocks in
+/// ascending row order, so it needs strictly ascending `rows` and no
+/// subsampling.
 pub struct ChunkedFitRun<'a> {
     params: &'a Params,
     matrix: &'a ChunkedMatrix,
@@ -1171,6 +1508,7 @@ pub struct ChunkedFitRun<'a> {
     workers: usize,
     pools: &'a mut ChunkPools,
     cfg: SplitConfig,
+    rng: StdRng,
     base_score: f64,
     total_slots: usize,
     history: Vec<EvalRecord>,
@@ -1178,7 +1516,7 @@ pub struct ChunkedFitRun<'a> {
 }
 
 impl<'a> ChunkedFitRun<'a> {
-    /// Start a chunked fit over (a column view of) a chunked matrix,
+    /// Start a histogram fit over (a column view of) a chunked matrix,
     /// with the same validation as [`train_chunked`]. `labels` has one
     /// entry per training position (`rows.len()`, or every matrix row
     /// when `rows` is `None`).
@@ -1198,21 +1536,23 @@ impl<'a> ChunkedFitRun<'a> {
             }
             .into());
         }
-        if params.subsample < 1.0 {
+        let matrix = view.matrix;
+        let streamed = matrix.is_spilled() || matrix.n_blocks() > 1;
+        if streamed && params.subsample < 1.0 {
             return Err(TrainError::InvalidParam {
                 name: "subsample",
-                message: "chunked training requires subsample == 1.0".to_string(),
+                message: "training over several blocks requires subsample == 1.0".to_string(),
             }
             .into());
         }
-        if params.colsample_bytree < 1.0 {
+        if streamed && params.colsample_bytree < 1.0 {
             return Err(TrainError::InvalidParam {
                 name: "colsample_bytree",
-                message: "chunked training requires colsample_bytree == 1.0".to_string(),
+                message: "training over several blocks requires colsample_bytree == 1.0"
+                    .to_string(),
             }
             .into());
         }
-        let matrix = view.matrix;
         let n_positions = match rows {
             None => matrix.nrows(),
             Some(rs) => rs.len(),
@@ -1223,10 +1563,12 @@ impl<'a> ChunkedFitRun<'a> {
         if let Some(rs) = rows {
             let mut prev = None;
             for &r in rs {
-                if (r as usize) >= matrix.nrows() || prev.is_some_and(|p: u32| p >= r) {
+                let out_of_order = streamed && prev.is_some_and(|p: u32| p >= r);
+                if (r as usize) >= matrix.nrows() || out_of_order {
                     return Err(TrainError::InvalidParam {
                         name: "rows",
-                        message: "chunked training rows must be strictly ascending and in range"
+                        message: "rows must be in range, and strictly ascending when the \
+                                  matrix spans several blocks"
                             .to_string(),
                     }
                     .into());
@@ -1241,17 +1583,8 @@ impl<'a> ChunkedFitRun<'a> {
         let workers = workers.max(1);
         let pools = &mut scratch.chunk;
 
-        // Histogram layout shared by every node: view feature `j` owns
-        // slots `bounds[j]..bounds[j + 1]` — bins `0..=cuts` plus the
-        // missing slot, exactly the in-memory `NodeHists` layout.
-        pools.bounds.clear();
-        pools.bounds.reserve(view.ncols + 1);
-        pools.bounds.push(0);
-        for j in 0..view.ncols {
-            let prev = pools.bounds[j];
-            pools.bounds.push(prev + view.cuts(j).len() + 2);
-        }
-        let total_slots = pools.bounds[view.ncols];
+        pools.layout.fill(&view);
+        let total_slots = pools.layout.total_slots();
         let cfg = SplitConfig {
             lambda: params.lambda,
             gamma: params.gamma,
@@ -1259,8 +1592,8 @@ impl<'a> ChunkedFitRun<'a> {
         };
 
         // Which blocks hold training positions, and which position
-        // range each covers (`rows` is ascending, so positions within a
-        // block are contiguous).
+        // range each covers (`rows` is ascending when there are several
+        // blocks, so positions within a block are contiguous).
         let n_blocks = matrix.n_blocks();
         pools.visit_blocks.clear();
         pools.visit_blocks.reserve(n_blocks);
@@ -1273,6 +1606,7 @@ impl<'a> ChunkedFitRun<'a> {
             let end = start + matrix.rows_in_block(b);
             let (lo, hi) = match rows {
                 None => (start, end),
+                Some(_) if n_blocks == 1 => (0, n_positions),
                 Some(rs) => (
                     rs.partition_point(|&r| (r as usize) < start),
                     rs.partition_point(|&r| (r as usize) < end),
@@ -1294,6 +1628,10 @@ impl<'a> ChunkedFitRun<'a> {
         pools.hess.resize(n_positions, 0.0);
         pools.node_of.clear();
         pools.node_of.resize(n_positions, 0);
+        pools.visit.clear();
+        pools.visit.reserve(n_positions);
+        pools.cols.clear();
+        pools.cols.reserve(view.ncols);
 
         // Worst-case arena sizing: a full binary tree of the allowed
         // depth, capped by the leaves-need-a-row bound.
@@ -1338,6 +1676,7 @@ impl<'a> ChunkedFitRun<'a> {
             workers,
             pools,
             cfg,
+            rng: StdRng::seed_from_u64(params.seed),
             base_score,
             total_slots,
             history: Vec::with_capacity(params.n_estimators),
@@ -1361,46 +1700,88 @@ impl<'a> ChunkedFitRun<'a> {
         let (workers, rows_idx, total_slots) = (self.workers, self.rows, self.total_slots);
         let pools = &mut *self.pools;
         params.objective.grad_hess(self.labels, &pools.raw, &mut pools.grad, &mut pools.hess);
+        let n_positions = pools.raw.len();
+        let level = pools.layout.level();
+
+        // --- The round's samples: rows, then columns, drawn as `FitRun` draws
+        let sampled = params.subsample < 1.0;
+        if sampled {
+            let n_keep = ((n_positions as f64 * params.subsample).round() as usize).max(1);
+            pools.visit.clear();
+            pools.visit.extend(0..n_positions as u32);
+            pools.visit.shuffle(&mut self.rng);
+            pools.visit.truncate(n_keep);
+        }
+        pools.cols.clear();
+        pools.cols.extend(0..ncols);
+        if params.colsample_bytree < 1.0 {
+            let n_keep = ((ncols as f64 * params.colsample_bytree).round() as usize).max(1);
+            pools.cols.shuffle(&mut self.rng);
+            pools.cols.truncate(n_keep);
+        }
 
         // --- Grow one tree, level by level -------------------------
-        pools.node_of.fill(0);
         pools.arena.clear();
-        let root_g: f64 = pools.grad.iter().sum();
-        let root_h: f64 = pools.hess.iter().sum();
+        let (root_g, root_h, root_rows): (f64, f64, usize) = if sampled {
+            pools.node_of.fill(u32::MAX);
+            for &p in &pools.visit {
+                pools.node_of[p as usize] = 0;
+            }
+            (
+                pools.visit.iter().map(|&p| pools.grad[p as usize]).sum(),
+                pools.visit.iter().map(|&p| pools.hess[p as usize]).sum(),
+                pools.visit.len(),
+            )
+        } else {
+            pools.node_of.fill(0);
+            (pools.grad.iter().sum(), pools.hess.iter().sum(), n_positions)
+        };
         let mut root_hist = take_hist(&mut pools.hist_pool, total_slots);
         {
             let ChunkPools {
-                visit_blocks, block_lo, block_hi, bounds, grad, hess, prefetch, ..
+                visit_blocks,
+                block_lo,
+                block_hi,
+                visit,
+                grad,
+                hess,
+                layout,
+                prefetch,
+                ..
             } = pools;
+            let visit: Option<&[u32]> = sampled.then_some(visit);
+            let (grad, hess): (&[f64], &[f64]) = (grad, hess);
+            let layout: &SlotLayout = layout;
             let root_hist = &mut root_hist;
             stream_blocks(matrix, visit_blocks, prefetch, |b, codes| {
+                let (lo, hi) = match visit {
+                    Some(v) => (0, v.len()),
+                    None => (block_lo[b] as usize, block_hi[b] as usize),
+                };
                 let base_row = b * block_rows;
-                let (lo, hi) = (block_lo[b] as usize, block_hi[b] as usize);
+                let src = BlockRows { codes, stride, col_start, base_row, rows: rows_idx, visit };
+                let pass = Accumulate {
+                    src,
+                    lo,
+                    hi,
+                    j0: 0,
+                    offsets: &layout.offsets,
+                    base: 0,
+                    grad,
+                    hess,
+                    target: |_| 0,
+                };
                 if workers > 1 && ncols >= 2 && (hi - lo) * ncols >= FEATURE_PAR_MIN_CELLS {
-                    accumulate_features_parallel(
-                        codes, stride, col_start, base_row, lo, hi, rows_idx, None, bounds, grad,
-                        hess, workers, root_hist,
-                    );
+                    accumulate_features_parallel(&pass, level, &layout.bounds, workers, root_hist);
                 } else {
-                    for pos in lo..hi {
-                        let local = row_at(rows_idx, pos) - base_row;
-                        let row =
-                            &codes[local * stride + col_start..local * stride + col_start + ncols];
-                        let (g, h) = (grad[pos], hess[pos]);
-                        for (j, &code) in row.iter().enumerate() {
-                            let cell = &mut root_hist[bounds[j] + code as usize];
-                            cell[0] += g;
-                            cell[1] += h;
-                        }
-                    }
+                    pass.run(level, &mut [&mut root_hist[..]]);
                 }
             })?;
         }
-        let n_positions = pools.raw.len();
         pools.arena.push(BuildNode {
             g: root_g,
             h: root_h,
-            n_rows: n_positions,
+            n_rows: root_rows,
             fate: Fate::Open,
             hist: root_hist,
         });
@@ -1409,9 +1790,8 @@ impl<'a> ChunkedFitRun<'a> {
         pools.frontier.push(0);
         let mut depth = 0usize;
         while !pools.frontier.is_empty() {
-            // Decide every frontier node: leaf out, or pick a split
-            // with the engine's own scanner (same offers, same
-            // tie-breaks as the recursive grower).
+            // Decide every frontier node: leaf out, or scan the round's
+            // sampled columns (in draw order) for the best split.
             pools.splitting.clear();
             for i in 0..pools.frontier.len() {
                 let id = pools.frontier[i];
@@ -1421,11 +1801,11 @@ impl<'a> ChunkedFitRun<'a> {
                     None
                 } else {
                     let mut tracker = BestTracker::new(self.cfg, g, h);
-                    for j in 0..ncols {
+                    for &j in &pools.cols {
                         scan_hist(
                             j,
                             matrix.cuts(col_start + j),
-                            &node.hist[pools.bounds[j]..pools.bounds[j + 1]],
+                            &node.hist[pools.layout.bounds[j]..pools.layout.bounds[j + 1]],
                             g,
                             h,
                             &mut tracker,
@@ -1438,7 +1818,9 @@ impl<'a> ChunkedFitRun<'a> {
                         let weight = -g / (h + params.lambda) * params.learning_rate;
                         let node = &mut pools.arena[id as usize];
                         node.fate = Fate::Leaf { weight };
-                        pools.hist_pool.push(std::mem::take(&mut node.hist));
+                        if !node.hist.is_empty() {
+                            pools.hist_pool.push(std::mem::take(&mut node.hist));
+                        }
                     }
                     Some(cand) => {
                         let left = pools.arena.len() as u32;
@@ -1466,10 +1848,8 @@ impl<'a> ChunkedFitRun<'a> {
                 break;
             }
 
-            // Partition pass: stream blocks in ascending position
-            // order and route each position of a splitting node to its
-            // child — the same in-band-code routing as the recursive
-            // grower.
+            // Partition pass: route each visited position of a
+            // splitting node to its child by its in-band code.
             pools.route_of.clear();
             pools.route_of.resize(pools.arena.len(), None);
             for i in 0..pools.splitting.len() {
@@ -1491,18 +1871,31 @@ impl<'a> ChunkedFitRun<'a> {
                     visit_blocks,
                     block_lo,
                     block_hi,
+                    visit,
                     node_of,
                     arena,
                     route_of,
                     prefetch,
                     ..
                 } = pools;
+                let visit: Option<&[u32]> = sampled.then_some(visit);
                 stream_blocks(matrix, visit_blocks, prefetch, |b, codes| {
-                    let base_row = b * block_rows;
-                    for pos in block_lo[b] as usize..block_hi[b] as usize {
+                    let (lo, hi) = match visit {
+                        Some(v) => (0, v.len()),
+                        None => (block_lo[b] as usize, block_hi[b] as usize),
+                    };
+                    let src = BlockRows {
+                        codes,
+                        stride,
+                        col_start,
+                        base_row: b * block_rows,
+                        rows: rows_idx,
+                        visit,
+                    };
+                    for k in lo..hi {
+                        let pos = src.pos(k);
                         let Some(route) = route_of[node_of[pos] as usize] else { continue };
-                        let local = row_at(rows_idx, pos) - base_row;
-                        let code = codes[local * stride + col_start + route.feature];
+                        let code = src.codes_from(pos, route.feature)[0];
                         let goes_left = if code == route.missing_code {
                             route.default_left
                         } else {
@@ -1515,11 +1908,11 @@ impl<'a> ChunkedFitRun<'a> {
                 })?;
             }
 
-            // Empty-side fallback (numerical pathology, same as the
-            // recursive grower): demote the split back to a leaf with
-            // the node's own mass. All its rows sit in the one
-            // non-empty child, which becomes a ghost carrying the same
-            // weight so the score update needs no re-routing.
+            // Empty-side fallback (numerical pathology): demote the
+            // split back to a leaf with the node's own mass. All its
+            // rows sit in the one non-empty child, which becomes a ghost
+            // carrying the same weight so the score update needs no
+            // re-routing.
             pools.confirmed.clear();
             for i in 0..pools.splitting.len() {
                 let id = pools.splitting[i];
@@ -1543,143 +1936,132 @@ impl<'a> ChunkedFitRun<'a> {
                 break;
             }
 
-            // Accumulation pass: build each smaller child's histogram
-            // by streaming blocks (position-ascending adds), then
-            // derive the larger child by the subtraction trick from the
-            // parent's buffer. Workers own disjoint nodes — or, when
-            // only one node needs building, disjoint feature ranges —
-            // so any worker count adds the same floats in the same
-            // order per cell.
-            pools.owner_of.clear();
-            pools.owner_of.resize(pools.arena.len(), u32::MAX);
-            pools.targets.clear();
-            for i in 0..pools.confirmed.len() {
-                let id = pools.confirmed[i];
-                let Fate::Split { left, right, .. } = pools.arena[id as usize].fate.clone() else {
-                    unreachable!("confirmed splits keep their split fate")
-                };
-                let small =
-                    if pools.arena[left as usize].n_rows <= pools.arena[right as usize].n_rows {
+            // Children at the depth cap become leaves without a scan
+            // (their weights come from the split's sums), so their
+            // histograms would never be read: skip building them.
+            if depth + 1 < params.max_depth {
+                // Accumulation pass: build each smaller child's histogram
+                // by streaming blocks (visit-order adds), then derive the
+                // larger child by the subtraction trick from the parent's
+                // buffer. Workers own disjoint nodes — or, when only one
+                // node needs building, disjoint feature ranges — so any
+                // worker count adds the same floats in the same order per
+                // cell.
+                pools.owner_of.clear();
+                pools.owner_of.resize(pools.arena.len(), u32::MAX);
+                pools.targets.clear();
+                for i in 0..pools.confirmed.len() {
+                    let id = pools.confirmed[i];
+                    let Fate::Split { left, right, .. } = pools.arena[id as usize].fate.clone()
+                    else {
+                        unreachable!("confirmed splits keep their split fate")
+                    };
+                    let small = if pools.arena[left as usize].n_rows
+                        <= pools.arena[right as usize].n_rows
+                    {
                         left
                     } else {
                         right
                     };
-                pools.owner_of[small as usize] = pools.targets.len() as u32;
-                pools.targets.push((small, id));
-            }
-            pools.small_hists.clear();
-            for _ in 0..pools.targets.len() {
-                let h = take_hist(&mut pools.hist_pool, total_slots);
-                pools.small_hists.push(h);
-            }
-            {
-                let ChunkPools {
-                    visit_blocks,
-                    block_lo,
-                    block_hi,
-                    bounds,
-                    node_of,
-                    owner_of,
-                    grad,
-                    hess,
-                    targets,
-                    small_hists,
-                    prefetch,
-                    ..
-                } = pools;
-                let n_targets = targets.len();
-                let bounds: &[usize] = bounds;
-                let node_of: &[u32] = node_of;
-                let owner_of: &[u32] = owner_of;
-                let grad: &[f64] = grad;
-                let hess: &[f64] = hess;
-                stream_blocks(matrix, visit_blocks, prefetch, |b, codes| {
-                    let base_row = b * block_rows;
-                    let (lo, hi) = (block_lo[b] as usize, block_hi[b] as usize);
-                    if n_targets == 1
-                        && workers > 1
-                        && ncols >= 2
-                        && (hi - lo) * ncols >= FEATURE_PAR_MIN_CELLS
-                    {
-                        accumulate_features_parallel(
-                            codes,
-                            stride,
-                            col_start,
-                            base_row,
-                            lo,
-                            hi,
-                            rows_idx,
-                            Some((node_of, owner_of)),
-                            bounds,
-                            grad,
-                            hess,
-                            workers,
-                            &mut small_hists[0],
-                        );
-                    } else if workers <= 1 || n_targets < 2 {
-                        accumulate_targets(
-                            codes,
-                            stride,
-                            col_start,
-                            ncols,
-                            base_row,
-                            lo,
-                            hi,
-                            rows_idx,
-                            bounds,
-                            node_of,
-                            owner_of,
-                            grad,
-                            hess,
-                            0..n_targets,
-                            small_hists,
-                        );
-                    } else {
-                        let n_workers = workers.min(n_targets);
-                        let chunk = n_targets.div_ceil(n_workers);
-                        std::thread::scope(|s| {
-                            for (w, hists) in small_hists.chunks_mut(chunk).enumerate() {
-                                let start = w * chunk;
-                                let end = start + hists.len();
-                                s.spawn(move || {
-                                    accumulate_targets(
-                                        codes,
-                                        stride,
-                                        col_start,
-                                        ncols,
-                                        base_row,
-                                        lo,
-                                        hi,
-                                        rows_idx,
-                                        bounds,
-                                        node_of,
-                                        owner_of,
-                                        grad,
-                                        hess,
-                                        start..end,
-                                        hists,
-                                    );
-                                });
-                            }
-                        });
-                    }
-                })?;
-            }
-            for t in 0..pools.targets.len() {
-                let (small, parent) = pools.targets[t];
-                let small_hist = std::mem::take(&mut pools.small_hists[t]);
-                let mut larger_hist = std::mem::take(&mut pools.arena[parent as usize].hist);
-                for (ps, cs) in larger_hist.iter_mut().zip(&small_hist) {
-                    ps[0] -= cs[0];
-                    ps[1] -= cs[1];
+                    pools.owner_of[small as usize] = pools.targets.len() as u32;
+                    pools.targets.push((small, id));
                 }
-                let Fate::Split { left, right, .. } = pools.arena[parent as usize].fate.clone()
-                else {
-                    unreachable!("confirmed splits keep their split fate")
-                };
-                let large = if small == left { right } else { left };
-                pools.arena[small as usize].hist = small_hist;
-                pools.arena[large as usize].hist = larger_hist;
+                pools.small_hists.clear();
+                for _ in 0..pools.targets.len() {
+                    let h = take_hist(&mut pools.hist_pool, total_slots);
+                    pools.small_hists.push(h);
+                }
+                {
+                    let ChunkPools {
+                        visit_blocks,
+                        block_lo,
+                        block_hi,
+                        visit,
+                        node_of,
+                        owner_of,
+                        grad,
+                        hess,
+                        small_hists,
+                        layout,
+                        prefetch,
+                        ..
+                    } = pools;
+                    let n_targets = small_hists.len();
+                    let visit: Option<&[u32]> = sampled.then_some(visit);
+                    let node_of: &[u32] = node_of;
+                    let owner_of: &[u32] = owner_of;
+                    let (grad, hess): (&[f64], &[f64]) = (grad, hess);
+                    let layout: &SlotLayout = layout;
+                    stream_blocks(matrix, visit_blocks, prefetch, |b, codes| {
+                        let (lo, hi) = match visit {
+                            Some(v) => (0, v.len()),
+                            None => (block_lo[b] as usize, block_hi[b] as usize),
+                        };
+                        let src = BlockRows {
+                            codes,
+                            stride,
+                            col_start,
+                            base_row: b * block_rows,
+                            rows: rows_idx,
+                            visit,
+                        };
+                        // Targets `start..end` of this pass, rebased to 0.
+                        let pass = |start: usize, end: usize| Accumulate {
+                            src,
+                            lo,
+                            hi,
+                            j0: 0,
+                            offsets: &layout.offsets,
+                            base: 0,
+                            grad,
+                            hess,
+                            target: move |pos: usize| {
+                                let t = owner_of[node_of[pos] as usize] as usize;
+                                if (start..end).contains(&t) {
+                                    (t - start) as u32
+                                } else {
+                                    u32::MAX
+                                }
+                            },
+                        };
+                        if n_targets == 1
+                            && workers > 1
+                            && ncols >= 2
+                            && (hi - lo) * ncols >= FEATURE_PAR_MIN_CELLS
+                        {
+                            accumulate_features_parallel(
+                                &pass(0, 1),
+                                level,
+                                &layout.bounds,
+                                workers,
+                                &mut small_hists[0],
+                            );
+                        } else if workers <= 1 || n_targets < 2 {
+                            pass(0, n_targets).run(level, small_hists);
+                        } else {
+                            let chunk = n_targets.div_ceil(workers.min(n_targets));
+                            std::thread::scope(|s| {
+                                for (w, hists) in small_hists.chunks_mut(chunk).enumerate() {
+                                    let part = pass(w * chunk, w * chunk + hists.len());
+                                    s.spawn(move || part.run(level, hists));
+                                }
+                            });
+                        }
+                    })?;
+                }
+                for t in 0..pools.targets.len() {
+                    let (small, parent) = pools.targets[t];
+                    let small_hist = std::mem::take(&mut pools.small_hists[t]);
+                    let mut larger_hist = std::mem::take(&mut pools.arena[parent as usize].hist);
+                    subtract_hist(level, &mut larger_hist, &small_hist);
+                    let Fate::Split { left, right, .. } = pools.arena[parent as usize].fate.clone()
+                    else {
+                        unreachable!("confirmed splits keep their split fate")
+                    };
+                    let large = if small == left { right } else { left };
+                    pools.arena[small as usize].hist = small_hist;
+                    pools.arena[large as usize].hist = larger_hist;
+                }
             }
 
             pools.frontier.clear();
@@ -1700,12 +2082,12 @@ impl<'a> ChunkedFitRun<'a> {
             }
         }
 
-        // --- Emit the arena in the recursion's DFS pre-order -------
+        // --- Emit the arena in DFS pre-order -----------------------
         let tree_start = pools.nodes.len();
         pools.tree_starts.push(tree_start);
         emit(&pools.arena, 0, tree_start, &mut pools.nodes);
 
-        // --- Score update and bookkeeping, as in `FitRun::round` ---
+        // --- Score update: every position, sampled or not ----------
         pools.leaf_weight.clear();
         pools.leaf_weight.resize(pools.arena.len(), 0.0);
         for (i, node) in pools.arena.iter().enumerate() {
@@ -1713,12 +2095,31 @@ impl<'a> ChunkedFitRun<'a> {
                 pools.leaf_weight[i] = weight;
             }
         }
-        let ChunkPools { raw, node_of, leaf_weight, .. } = pools;
-        for (pos, raw_r) in raw.iter_mut().enumerate() {
-            *raw_r += leaf_weight[node_of[pos] as usize];
+        let ChunkPools { raw, node_of, leaf_weight, nodes, visit, .. } = pools;
+        if sampled && visit.len() < n_positions {
+            // Positions outside the sample walk the finished tree on
+            // their codes — the routing training uses. The leaf lands
+            // as `0.0 + weight`, the single-tree sum the raw-value walk
+            // of the exact engine adds, so the two agree to the bit.
+            let view = ChunkedView { matrix, col_start, ncols };
+            let codes = matrix.codes().expect("subsampled fits run on one in-memory block");
+            let tree = &nodes[tree_start..];
+            for (pos, r) in raw.iter_mut().enumerate() {
+                let node = node_of[pos];
+                *r += if node == u32::MAX {
+                    let row = &codes[row_at(rows_idx, pos) * stride + col_start..][..ncols];
+                    0.0 + leaf_value_codes(tree, row, &view)
+                } else {
+                    leaf_weight[node as usize]
+                };
+            }
+        } else {
+            for (pos, r) in raw.iter_mut().enumerate() {
+                *r += leaf_weight[node_of[pos] as usize];
+            }
         }
         let train_loss = params.objective.loss(self.labels, raw);
-        self.history.push(EvalRecord { round: self.round, train_loss, eval_loss: None });
+        self.history.push(EvalRecord { round: self.round, train_loss });
         self.round += 1;
         Ok(true)
     }
@@ -1742,22 +2143,16 @@ impl<'a> ChunkedFitRun<'a> {
                 n_features: self.ncols,
             },
             history: self.history,
-            best_round: self.params.n_estimators,
         }
     }
 }
 
 /// Train a boosted ensemble over a chunked matrix, streaming blocks
-/// through every pass — the out-of-core twin of
-/// [`crate::Booster::train`] with [`TreeMethod::Hist`], bitwise equal
-/// to it for any block size and any `workers ≥ 1` (see the module
-/// docs for the argument, `tests/chunked_equivalence.rs` for the
-/// pinning).
-///
-/// Requires `tree_method == Hist`, `subsample == 1.0` and
-/// `colsample_bytree == 1.0`: row/column subsampling would need the
-/// trainer to consult a shuffled index per round, which breaks the
-/// ascending-row streaming the bit-identity argument rests on.
+/// through every pass, for any block size and any `workers ≥ 1` (the
+/// result is the same bits either way; `tests/chunked_equivalence.rs`
+/// pins it). A multi-block or spilled matrix requires
+/// `subsample == 1.0` and `colsample_bytree == 1.0` (see
+/// [`ChunkedFitRun`]).
 ///
 /// Thin wrapper over [`ChunkedFitRun`] with a throwaway scratch; use
 /// [`train_chunked_on`] to reuse a (per-worker) [`TreeScratch`] across
@@ -1772,10 +2167,9 @@ pub fn train_chunked(
     train_chunked_on(params, matrix.view(), None, labels, workers, &mut scratch)
 }
 
-/// [`train_chunked`] over a column view and optional ascending row
-/// subset, driving the fit through a borrowed [`TreeScratch`]'s chunk
-/// arena — the entry point the sharded grid fans across its worker
-/// pool.
+/// [`train_chunked`] over a column view and optional row subset,
+/// driving the fit through a borrowed [`TreeScratch`]'s chunk arena —
+/// the entry point the sharded grid fans across its worker pool.
 pub fn train_chunked_on(
     params: &Params,
     view: ChunkedView<'_>,
@@ -1905,8 +2299,6 @@ fn emit(arena: &[BuildNode], id: u32, base: usize, nodes: &mut Vec<Node>) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binning::BinnedMatrix;
-    use msaw_tabular::Matrix;
 
     /// Deterministic pseudo-random feature matrix with some NaNs.
     fn synth(nrows: usize, ncols: usize, missing: bool) -> Vec<f64> {
@@ -1938,7 +2330,7 @@ mod tests {
         let ncols = 4;
         let rows = synth(nrows, ncols, true);
         let data = Matrix::from_vec(rows.clone(), nrows, ncols);
-        let binned = BinnedMatrix::fit(&data, 16);
+        let binned = ChunkedMatrix::fit(&data, 16);
         for chunk in [1usize, 7, 64, nrows] {
             let mut sketch = CutSketch::new(ncols);
             for block in rows.chunks(chunk * ncols) {
@@ -2084,6 +2476,52 @@ mod tests {
         assert!(matches!(
             train_chunked(&p, &mut m, &labels[..5], 1),
             Err(ChunkError::Train(TrainError::LabelLength { .. }))
+        ));
+
+        // Several blocks stream in ascending row order only.
+        let unordered: Vec<u32> = vec![3, 1, 2];
+        let mut scratch = TreeScratch::new();
+        assert!(matches!(
+            train_chunked_on(&p, m.view(), Some(&unordered), &labels[..3], 1, &mut scratch),
+            Err(ChunkError::Train(TrainError::InvalidParam { name: "rows", .. }))
+        ));
+    }
+
+    #[test]
+    fn push_encoded_refuses_codes_past_the_missing_sentinel() {
+        let cuts = vec![vec![0.5, 1.5], vec![]];
+        let mut b = ChunkedMatrixBuilder::in_memory(cuts, 4);
+        b.push_encoded(&[3, 1, 2, 0]).expect("codes up to the missing sentinel are valid");
+        assert!(matches!(
+            b.push_encoded(&[0, 2]),
+            Err(ChunkError::Corrupt { what: "code range", .. })
+        ));
+    }
+
+    #[test]
+    fn one_block_takes_any_row_order_and_subsampling() {
+        let rows = synth(40, 3, true);
+        let data = Matrix::from_vec(rows, 40, 3);
+        let m = ChunkedMatrix::fit(&data, 8);
+        assert_eq!(m.n_blocks(), 1);
+        assert!(m.codes().is_some());
+        let order: Vec<u32> = (0..40).rev().step_by(2).chain([7, 7]).collect();
+        let labels: Vec<f64> = order.iter().map(|&r| (r % 5) as f64).collect();
+        let p = Params {
+            n_estimators: 4,
+            subsample: 0.7,
+            colsample_bytree: 0.5,
+            tree_method: TreeMethod::Hist { max_bins: 8 },
+            ..Params::regression()
+        };
+        let mut scratch = TreeScratch::new();
+        let report = train_chunked_on(&p, m.view(), Some(&order), &labels, 1, &mut scratch)
+            .expect("a single in-memory block accepts any visit order");
+        assert_eq!(report.booster.trees().len(), 4);
+        let out_of_range = [40u32];
+        assert!(matches!(
+            train_chunked_on(&p, m.view(), Some(&out_of_range), &[1.0], 1, &mut scratch),
+            Err(ChunkError::Train(TrainError::InvalidParam { name: "rows", .. }))
         ));
     }
 }

@@ -11,8 +11,9 @@
 //!   and each row's *rank* into them — which lets the exact finder
 //!   value-sort any node's rows with a counting sort (`O(n + k)`) instead
 //!   of a comparison sort, and partition on integer rank compares;
-//! * a [`crate::binning::BinnedMatrix`] over the full matrix for the
-//!   histogram finder (shared cuts, XGBoost `DMatrix` semantics).
+//! * a one-block in-memory [`crate::ChunkedMatrix`] of bin codes over
+//!   the full matrix for the histogram grower (shared cuts, XGBoost
+//!   `DMatrix` semantics).
 //!
 //! Determinism contract: for `TreeMethod::Exact`,
 //! [`crate::Booster::train_on_rows`] against a context is **bit-for-bit
@@ -37,9 +38,8 @@
 //! bytes, a cache-built context is bit-identical to a direct
 //! [`TrainingContext::new`] over the same matrix.
 
-use crate::binning::{
-    bump_column_fit_count, cuts_from_distinct, distinct_values, encode_column, BinnedMatrix,
-};
+use crate::binning::{bump_column_fit_count, cuts_from_distinct, distinct_values, encode_column};
+use crate::chunked::ChunkedMatrix;
 use crate::params::DEFAULT_CONTEXT_BINS;
 use msaw_tabular::Matrix;
 use std::collections::HashMap;
@@ -127,13 +127,13 @@ impl ExactIndex {
 pub struct TrainingContext<'a> {
     data: &'a Matrix,
     exact: ExactIndex,
-    binned: BinnedMatrix,
+    binned: ChunkedMatrix,
 }
 
 impl<'a> TrainingContext<'a> {
     /// Prepare `data` with the default histogram resolution
     /// ([`DEFAULT_CONTEXT_BINS`]). Builds both the exact rank index and
-    /// the quantile binning eagerly; `BinnedMatrix::fit` runs exactly
+    /// the quantile binning eagerly; [`ChunkedMatrix::fit`] runs exactly
     /// once per context.
     pub fn new(data: &'a Matrix) -> TrainingContext<'a> {
         Self::with_max_bins(data, DEFAULT_CONTEXT_BINS)
@@ -144,7 +144,7 @@ impl<'a> TrainingContext<'a> {
         TrainingContext {
             data,
             exact: ExactIndex::fit(data),
-            binned: BinnedMatrix::fit(data, max_bins),
+            binned: ChunkedMatrix::fit(data, max_bins),
         }
     }
 
@@ -158,8 +158,8 @@ impl<'a> TrainingContext<'a> {
         &self.exact
     }
 
-    /// The shared full-matrix quantisation.
-    pub fn binned(&self) -> &BinnedMatrix {
+    /// The shared full-matrix quantisation: one in-memory block.
+    pub fn binned(&self) -> &ChunkedMatrix {
         &self.binned
     }
 
@@ -265,7 +265,7 @@ impl ContextCache {
         TrainingContext {
             data,
             exact: ExactIndex::from_parts(distinct, ranks, ncols),
-            binned: BinnedMatrix::from_parts(nrows, cuts, codes),
+            binned: ChunkedMatrix::from_codes(nrows, cuts, codes),
         }
     }
 
@@ -333,6 +333,7 @@ mod tests {
         assert_eq!(ctx.ncols(), 2);
         assert_eq!(ctx.exact().ncols(), 2);
         assert_eq!(ctx.binned().nrows(), 4);
+        assert_eq!(ctx.binned().n_blocks(), 1);
     }
 
     /// A cache-built context must be indistinguishable from a direct one.
@@ -349,9 +350,9 @@ mod tests {
             assert_eq!(direct.binned().cuts(j), cached.binned().cuts(j));
             for i in 0..x.nrows() {
                 assert_eq!(direct.exact().rank(i, j), cached.exact().rank(i, j));
-                assert_eq!(direct.binned().bin(i, j), cached.binned().bin(i, j));
             }
         }
+        assert_eq!(direct.binned().codes(), cached.binned().codes());
     }
 
     /// Shared columns between two matrices are computed once; only the

@@ -1,6 +1,6 @@
-//! The shared-context tree grower: grows one tree per boosting round
-//! against row-index *views* of a prepared matrix, never materialising a
-//! row subset.
+//! The exact tree grower: grows one tree per boosting round against
+//! row-index *views* of a prepared matrix, never materialising a row
+//! subset. (Histogram trees grow in [`crate::chunked::ChunkedFitRun`].)
 //!
 //! Everything here works in **position space**: positions `0..n` index
 //! the training view, and `map[pos]` translates to a row of the
@@ -8,8 +8,6 @@
 //! subsamples are all position-indexed, which is exactly how the old
 //! copy-then-train path behaved on a materialised subset — that
 //! correspondence is what makes the exact path bit-identical to it.
-//!
-//! ## Exact path
 //!
 //! The old exact finder re-extracted and comparison-sorted `(value,
 //! grad, hess)` triples per node per feature (`O(n log n)` each). Here
@@ -30,30 +28,18 @@
 //! the same order with the same operands: identical trees, identical
 //! predictions.
 //!
-//! ## Histogram path
-//!
-//! Histograms are built per node over the context's shared full-matrix
-//! cuts, with the classic subtraction trick: only the smaller child is
-//! accumulated from its rows; the larger child's histogram is
-//! `parent − sibling`, halving (at least) the accumulation work per
-//! level. Accumulation walks the [`BinnedMatrix`]'s row-major in-band
-//! codes (`hist[code] += (g, h)`, missing mass landing in the last slot
-//! by construction), so the inner loop is branch-free and touches each
-//! row's codes contiguously.
-//!
 //! ## Scratch reuse
 //!
 //! Nothing in the per-node hot path allocates in steady state. All
-//! transient buffers — row partitions, per-feature sorted lists,
-//! node histograms, the side bitmap, counting-sort buckets, and the
-//! growing tree's node arena — live in a [`TreeScratch`] that is
-//! created once per training worker and recycled across every node,
-//! tree, fold and fit that worker executes. Free-list pools hand
-//! buffers back on every `grow_*` return path, and
-//! [`TreeScratch::prepare`] pre-sizes every pool to its worst case for
-//! the fit (bounded by the recursion depth), so steady-state rounds
-//! perform **zero** heap allocations — pinned by the counting-allocator
-//! test in `tests/alloc_regression.rs`.
+//! transient buffers — row partitions, per-feature sorted lists, the
+//! side bitmap, counting-sort buckets, and the growing tree's node
+//! arena — live in a [`TreeScratch`] that is created once per training
+//! worker and recycled across every node, tree, fold and fit that
+//! worker executes. Free-list pools hand buffers back on every
+//! `grow_*` return path, and [`TreeScratch::prepare`] pre-sizes every
+//! pool to its worst case for the fit (bounded by the recursion depth),
+//! so steady-state rounds perform **zero** heap allocations — pinned by
+//! the counting-allocator test in `tests/alloc_regression.rs`.
 //!
 //! Per-node tree output is appended to a flat node arena with
 //! tree-relative child indices; `Tree` values are only materialised
@@ -61,26 +47,17 @@
 //!
 //! ## Threading
 //!
-//! Nodes with at least `params.parallel_split_threshold` rows build
-//! histograms and scan features in parallel chunks with deterministic
-//! merging (same tie-break as the serial scan, so results are
-//! thread-count invariant; histogram accumulation keeps per-slot row
-//! order within each feature chunk, so sums are bit-identical too).
-//! Below the threshold everything is serial — the grid's node sizes sit
-//! far below the default threshold, where thread spawn costs would
-//! dominate.
+//! Nodes with at least `params.parallel_split_threshold` rows scan
+//! features in parallel chunks with deterministic merging (same
+//! tie-break as the serial scan, so results are thread-count
+//! invariant). Below the threshold everything is serial — the grid's
+//! node sizes sit far below the default threshold, where thread spawn
+//! costs would dominate.
 
-use crate::binning::BinnedMatrix;
 use crate::context::{ExactIndex, MISSING_RANK};
 use crate::params::Params;
-use crate::split::{merge_chunks, scan_hist, BestTracker, SplitCandidate, SplitConfig};
+use crate::split::{merge_chunks, BestTracker, SplitCandidate, SplitConfig};
 use crate::tree::Node;
-
-/// Which precomputed index drives split finding.
-pub(crate) enum Backend<'a> {
-    Exact(&'a ExactIndex),
-    Hist(&'a BinnedMatrix),
-}
 
 /// Immutable per-round (per-tree) state.
 pub(crate) struct RoundCtx<'a> {
@@ -184,32 +161,7 @@ impl FeatureListSet {
     }
 }
 
-/// One node's histograms, flattened over the round's feature subsample:
-/// feature `fi` owns slots `data[bounds[fi]..bounds[fi + 1]]` — its
-/// bins `0..=cuts` plus the trailing missing slot (the in-band missing
-/// code indexes it directly). Cells are `[grad, hess]` pairs —
-/// `[f64; 2]` rather than a tuple because the array layout is
-/// guaranteed, which is what lets the SIMD kernels view the buffer as a
-/// flat f64 slice.
-#[derive(Debug, Default)]
-pub(crate) struct NodeHists {
-    data: Vec<[f64; 2]>,
-    bounds: Vec<usize>,
-}
-
-impl NodeHists {
-    fn reset(&mut self) {
-        self.data.clear();
-        self.bounds.clear();
-        self.bounds.push(0);
-    }
-
-    fn feature(&self, fi: usize) -> &[[f64; 2]] {
-        &self.data[self.bounds[fi]..self.bounds[fi + 1]]
-    }
-}
-
-/// Free-list pools for every transient buffer the growers touch.
+/// Free-list pools for every transient buffer the exact grower touches.
 /// `take_*` pops a cleared buffer (allocating only if the pool
 /// underflows, which [`TreeScratch::prepare`]'s worst-case sizing
 /// prevents); every `grow_*` return path puts its buffers back.
@@ -217,7 +169,6 @@ impl NodeHists {
 pub(crate) struct EnginePools {
     rows: Vec<Vec<usize>>,
     lists: Vec<FeatureListSet>,
-    hists: Vec<NodeHists>,
     /// Position-indexed split-side bitmap; written before read for every
     /// row of the node being partitioned, so it never needs clearing.
     side: Vec<bool>,
@@ -247,16 +198,6 @@ impl EnginePools {
     fn put_lists(&mut self, s: FeatureListSet) {
         self.lists.push(s);
     }
-
-    fn take_hists(&mut self) -> NodeHists {
-        let mut h = self.hists.pop().unwrap_or_default();
-        h.reset();
-        h
-    }
-
-    fn put_hists(&mut self, h: NodeHists) {
-        self.hists.push(h);
-    }
 }
 
 /// Per-worker training scratch: every reusable buffer one worker needs
@@ -278,7 +219,6 @@ pub struct TreeScratch {
     pub(crate) tree_depths: Vec<u16>,
     /// Position-indexed raw scores / gradients / hessians.
     pub(crate) raw: Vec<f64>,
-    pub(crate) eval_raw: Vec<f64>,
     pub(crate) grad: Vec<f64>,
     pub(crate) hess: Vec<f64>,
     /// Per-position leaf weight of the current tree.
@@ -288,11 +228,12 @@ pub struct TreeScratch {
     pub(crate) all_rows: Vec<usize>,
     pub(crate) all_cols: Vec<usize>,
     pub(crate) sample_cols: Vec<usize>,
-    /// Single-tree flat compilation reused every round for score updates.
+    /// Single-tree flat compilation, reused by subsampled rounds to
+    /// score the rows outside the sample.
     pub(crate) single: crate::forest::FlatForest,
-    /// Buffer arena for the out-of-core trainer
-    /// ([`crate::chunked::ChunkedFitRun`]), disjoint from the
-    /// in-memory pools so a worker can interleave both kinds of fit.
+    /// Buffer arena for the histogram grower
+    /// ([`crate::chunked::ChunkedFitRun`]), disjoint from the exact
+    /// pools so a worker can interleave both kinds of fit.
     pub(crate) chunk: crate::chunked::ChunkPools,
 }
 
@@ -306,7 +247,6 @@ impl TreeScratch {
             tree_starts: Vec::new(),
             tree_depths: Vec::new(),
             raw: Vec::new(),
-            eval_raw: Vec::new(),
             grad: Vec::new(),
             hess: Vec::new(),
             leaf_of: Vec::new(),
@@ -323,14 +263,12 @@ impl TreeScratch {
     /// so no steady-state round allocates. Bounds:
     ///
     /// * at any moment the recursion holds at most `depth + 3` row
-    ///   buffers / list sets / histogram sets (one per ancestor's
-    ///   pending sibling, plus the current node's own and its two
-    ///   children's);
-    /// * a single node's lists hold at most `n × n_features` pairs
-    ///   (the root), and a histogram set at most the binning's total
-    ///   slot count;
+    ///   buffers / list sets (one per ancestor's pending sibling, plus
+    ///   the current node's own and its two children's);
+    /// * a single node's lists hold at most `n × n_features` pairs (the
+    ///   root);
     /// * a tree has at most `min(2^(depth+1) − 1, 2n − 1)` nodes.
-    pub(crate) fn prepare(&mut self, params: &Params, n: usize, backend: &Backend) {
+    pub(crate) fn prepare(&mut self, params: &Params, n: usize, index: &ExactIndex) {
         let d = params.max_depth.max(1);
         let pools = &mut self.pools;
         if pools.side.len() < n {
@@ -344,33 +282,17 @@ impl TreeScratch {
         for v in &mut pools.rows {
             reserve_cap(v, n);
         }
-        match backend {
-            Backend::Exact(index) => {
-                reserve_cap(&mut pools.counts, index.max_distinct());
-                let ncols = index.ncols();
-                let sets_needed = 2 * d + 3;
-                while pools.lists.len() < sets_needed {
-                    pools.lists.push(FeatureListSet::default());
-                }
-                for s in &mut pools.lists {
-                    reserve_cap(&mut s.pairs, n * ncols);
-                    reserve_cap(&mut s.miss, n * ncols);
-                    reserve_cap(&mut s.pair_bounds, ncols + 1);
-                    reserve_cap(&mut s.miss_bounds, ncols + 1);
-                }
-            }
-            Backend::Hist(binned) => {
-                let slots = binned.total_slots();
-                let ncols = binned.ncols();
-                let hists_needed = d + 3;
-                while pools.hists.len() < hists_needed {
-                    pools.hists.push(NodeHists::default());
-                }
-                for hs in &mut pools.hists {
-                    reserve_cap(&mut hs.data, slots);
-                    reserve_cap(&mut hs.bounds, ncols + 1);
-                }
-            }
+        reserve_cap(&mut pools.counts, index.max_distinct());
+        let ncols = index.ncols();
+        let sets_needed = 2 * d + 3;
+        while pools.lists.len() < sets_needed {
+            pools.lists.push(FeatureListSet::default());
+        }
+        for s in &mut pools.lists {
+            reserve_cap(&mut s.pairs, n * ncols);
+            reserve_cap(&mut s.miss, n * ncols);
+            reserve_cap(&mut s.pair_bounds, ncols + 1);
+            reserve_cap(&mut s.miss_bounds, ncols + 1);
         }
         // Node arena: worst case over the whole fit.
         let by_depth =
@@ -426,7 +348,7 @@ impl TreeBuf<'_> {
 /// only the entries named by `rows` are touched). `rows` must come from
 /// `pools.take_rows()`; it is recycled. Returns the tree's grown depth.
 pub(crate) fn grow_tree(
-    backend: &Backend,
+    index: &ExactIndex,
     rctx: &RoundCtx,
     rows: Vec<usize>,
     leaf_of: &mut [f64],
@@ -437,17 +359,8 @@ pub(crate) fn grow_tree(
     let mut tree = TreeBuf { nodes, start, max_depth: 0 };
     let g: f64 = rows.iter().map(|&p| rctx.grad[p]).sum();
     let h: f64 = rows.iter().map(|&p| rctx.hess[p]).sum();
-    match backend {
-        Backend::Exact(index) => {
-            let lists = root_lists(index, rctx, &rows, pools);
-            grow_exact(index, rctx, &mut tree, rows, lists, 0, g, h, pools, leaf_of);
-        }
-        Backend::Hist(binned) => {
-            let mut hists = pools.take_hists();
-            build_hists(binned, rctx, &rows, &mut hists);
-            grow_hist(binned, rctx, &mut tree, rows, hists, 0, g, h, pools, leaf_of);
-        }
-    }
+    let lists = root_lists(index, rctx, &rows, pools);
+    grow_exact(index, rctx, &mut tree, rows, lists, 0, g, h, pools, leaf_of);
     tree.max_depth
 }
 
@@ -503,8 +416,9 @@ fn root_lists(
     set
 }
 
-/// Scan one feature's sorted list for the best boundary, mirroring the
-/// old `scan_feature_exact` float-for-float.
+/// Scan one feature's sorted list for the best boundary: a midpoint
+/// candidate between each pair of adjacent distinct values, with the
+/// present prefix accumulated in value order.
 #[allow(clippy::too_many_arguments)]
 fn scan_list(
     feature: usize,
@@ -740,426 +654,6 @@ fn push_split(tree: &mut TreeBuf, split: &SplitCandidate, cover: f64) -> usize {
     })
 }
 
-// ---------------------------------------------------------------------
-// Histogram path
-// ---------------------------------------------------------------------
-
-/// Accumulate `(grad, hess)` sums for the features `fi_range` of the
-/// round's subsample into `data`, a slice covering exactly those
-/// features' slots (`bounds` stays set-global) — dispatching on the
-/// kernel `level`. Per `(feature, slot)` cell the additions happen in
-/// row order on every level (the AVX2/AVX-512 kernels only vectorize
-/// slot-index computation and use pair-adds, never per-lane
-/// sub-histograms), so chunked parallel accumulation stays bit-identical
-/// to the serial pass and every SIMD pass bit-identical to the scalar
-/// one.
-fn accumulate_hists(
-    level: crate::simd::SimdLevel,
-    binned: &BinnedMatrix,
-    rctx: &RoundCtx,
-    rows: &[usize],
-    fi_range: std::ops::Range<usize>,
-    data: &mut [[f64; 2]],
-    bounds: &[usize],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level >= crate::simd::SimdLevel::Avx512 {
-            // SAFETY: `active_level` never reports Avx512 without
-            // AVX-512F CPU support.
-            unsafe { accumulate_hists_avx512(binned, rctx, rows, fi_range, data, bounds) };
-            return;
-        }
-        if level >= crate::simd::SimdLevel::Avx2 {
-            // SAFETY: `active_level` never reports Avx2-or-above without
-            // AVX2 CPU support.
-            unsafe { accumulate_hists_avx2(binned, rctx, rows, fi_range, data, bounds) };
-            return;
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = level;
-    accumulate_hists_scalar(binned, rctx, rows, fi_range, data, bounds);
-}
-
-/// The scalar accumulation pass (the always-compiled fallback).
-/// Row-major: each row's contiguous code slice is read once, and the
-/// in-band missing code lands the missing mass in the trailing slot
-/// with no branch.
-fn accumulate_hists_scalar(
-    binned: &BinnedMatrix,
-    rctx: &RoundCtx,
-    rows: &[usize],
-    fi_range: std::ops::Range<usize>,
-    data: &mut [[f64; 2]],
-    bounds: &[usize],
-) {
-    let base = bounds[fi_range.start];
-    for &p in rows {
-        let codes = binned.row_codes(rctx.map[p]);
-        let g = rctx.grad[p];
-        let h = rctx.hess[p];
-        for fi in fi_range.clone() {
-            let slot = bounds[fi] - base + codes[rctx.features[fi]] as usize;
-            let cell = &mut data[slot];
-            cell[0] += g;
-            cell[1] += h;
-        }
-    }
-}
-
-/// The AVX2 accumulation pass. Features are processed in stack-array
-/// chunks of up to 64; a chunk whose features are the identity mapping
-/// (`features[fi] == fi`, the default `colsample_bytree = 1.0` case)
-/// loads 8 row codes at a time, widens them, adds the precomputed slot
-/// offsets in one vector op, and applies the 8 `(g, h)` pair-adds to
-/// their (always distinct) cells in feature order. Non-identity chunks
-/// fall back to the scalar pass over just that chunk. No heap
-/// allocation on any path — the training hot path must stay
-/// allocation-free.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_hists_avx2(
-    binned: &BinnedMatrix,
-    rctx: &RoundCtx,
-    rows: &[usize],
-    fi_range: std::ops::Range<usize>,
-    data: &mut [[f64; 2]],
-    bounds: &[usize],
-) {
-    use crate::simd::x86::{pack_gh, pair_add};
-    use std::arch::x86_64::*;
-    const CHUNK: usize = 64;
-    let base = bounds[fi_range.start];
-    let mut fi = fi_range.start;
-    while fi < fi_range.end {
-        let end = (fi + CHUNK).min(fi_range.end);
-        let identity =
-            (fi..end).all(|k| rctx.features[k] == k) && bounds[end] - base <= i32::MAX as usize;
-        if !identity {
-            let lo = bounds[fi] - base;
-            let hi = bounds[end] - base;
-            accumulate_hists_scalar(binned, rctx, rows, fi..end, &mut data[lo..hi], bounds);
-            fi = end;
-            continue;
-        }
-        let nf_chunk = end - fi;
-        let mut off = [0i32; CHUNK];
-        for (c, o) in off[..nf_chunk].iter_mut().enumerate() {
-            *o = (bounds[fi + c] - base) as i32;
-        }
-        let full = nf_chunk / 8 * 8;
-        for &p in rows {
-            let codes = binned.row_codes(rctx.map[p]);
-            let gh = pack_gh(rctx.grad[p], rctx.hess[p]);
-            let cp = codes.as_ptr().add(fi);
-            let mut c = 0usize;
-            while c < full {
-                let raw = _mm_loadu_si128(cp.add(c) as *const __m128i);
-                let slots = _mm256_add_epi32(
-                    _mm256_cvtepu16_epi32(raw),
-                    _mm256_loadu_si256(off.as_ptr().add(c) as *const __m256i),
-                );
-                let mut s = [0i32; 8];
-                _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, slots);
-                for &si in &s {
-                    pair_add(data.get_unchecked_mut(si as usize), gh);
-                }
-                c += 8;
-            }
-            while c < nf_chunk {
-                let slot = off[c] as usize + *codes.get_unchecked(fi + c) as usize;
-                pair_add(data.get_unchecked_mut(slot), gh);
-                c += 1;
-            }
-        }
-        fi = end;
-    }
-}
-
-/// The AVX-512 accumulation pass: the same identity-chunk structure as
-/// [`accumulate_hists_avx2`] but widening 16 row codes per step
-/// (`vpmovzxwd zmm`) and adding 16 slot offsets in one 512-bit op. Only
-/// the slot-index arithmetic widens — the `(g, h)` sums remain 16
-/// sequential pair-adds in feature order, so every `(feature, slot)`
-/// cell sees the same IEEE add order as the scalar and AVX2 passes and
-/// the result stays bit-identical across levels. Non-identity chunks
-/// fall back to the scalar pass; nothing allocates.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn accumulate_hists_avx512(
-    binned: &BinnedMatrix,
-    rctx: &RoundCtx,
-    rows: &[usize],
-    fi_range: std::ops::Range<usize>,
-    data: &mut [[f64; 2]],
-    bounds: &[usize],
-) {
-    use crate::simd::x86::{pack_gh, pair_add};
-    use std::arch::x86_64::*;
-    const CHUNK: usize = 64;
-    let base = bounds[fi_range.start];
-    let mut fi = fi_range.start;
-    while fi < fi_range.end {
-        let end = (fi + CHUNK).min(fi_range.end);
-        let identity =
-            (fi..end).all(|k| rctx.features[k] == k) && bounds[end] - base <= i32::MAX as usize;
-        if !identity {
-            let lo = bounds[fi] - base;
-            let hi = bounds[end] - base;
-            accumulate_hists_scalar(binned, rctx, rows, fi..end, &mut data[lo..hi], bounds);
-            fi = end;
-            continue;
-        }
-        let nf_chunk = end - fi;
-        let mut off = [0i32; CHUNK];
-        for (c, o) in off[..nf_chunk].iter_mut().enumerate() {
-            *o = (bounds[fi + c] - base) as i32;
-        }
-        let full = nf_chunk / 16 * 16;
-        for &p in rows {
-            let codes = binned.row_codes(rctx.map[p]);
-            let gh = pack_gh(rctx.grad[p], rctx.hess[p]);
-            let cp = codes.as_ptr().add(fi);
-            let mut c = 0usize;
-            while c < full {
-                let raw = _mm256_loadu_si256(cp.add(c) as *const __m256i);
-                let slots = _mm512_add_epi32(
-                    _mm512_cvtepu16_epi32(raw),
-                    _mm512_loadu_si512(off.as_ptr().add(c) as *const _),
-                );
-                let mut s = [0i32; 16];
-                _mm512_storeu_si512(s.as_mut_ptr() as *mut _, slots);
-                for &si in &s {
-                    pair_add(data.get_unchecked_mut(si as usize), gh);
-                }
-                c += 16;
-            }
-            while c < nf_chunk {
-                let slot = off[c] as usize + *codes.get_unchecked(fi + c) as usize;
-                pair_add(data.get_unchecked_mut(slot), gh);
-                c += 1;
-            }
-        }
-        fi = end;
-    }
-}
-
-/// Build one node's histograms into `out` (taken from the pool).
-/// Feature-parallel above the `scan_threads` threshold, chunked exactly
-/// like the split scan.
-fn build_hists(binned: &BinnedMatrix, rctx: &RoundCtx, rows: &[usize], out: &mut NodeHists) {
-    out.reset();
-    let nf = rctx.features.len();
-    for &f in rctx.features {
-        let new_len = out.data.len() + binned.slots(f);
-        out.data.resize(new_len, [0.0; 2]);
-        out.bounds.push(new_len);
-    }
-    // Read the dispatch level once per node so a concurrent override
-    // cannot change kernels between this node's parallel chunks.
-    let level = crate::simd::active_level();
-    let threads = rctx.scan_threads(rows.len()).min(nf.max(1));
-    if threads <= 1 || nf < 2 {
-        accumulate_hists(level, binned, rctx, rows, 0..nf, &mut out.data, &out.bounds);
-        return;
-    }
-    let chunk = nf.div_ceil(threads);
-    let NodeHists { data, bounds } = out;
-    std::thread::scope(|s| {
-        let bounds: &[usize] = bounds;
-        let mut rest: &mut [[f64; 2]] = data;
-        let mut consumed = 0usize;
-        let mut start = 0usize;
-        while start < nf {
-            let end = (start + chunk).min(nf);
-            let (head, tail) = rest.split_at_mut(bounds[end] - consumed);
-            rest = tail;
-            consumed = bounds[end];
-            s.spawn(move || accumulate_hists(level, binned, rctx, rows, start..end, head, bounds));
-            start = end;
-        }
-    });
-}
-
-/// The subtraction trick: `parent − child` slot-wise gives the sibling's
-/// histogram without touching its rows. Mutates the parent in place.
-/// The AVX2 path subtracts four f64 lanes at a time over the flattened
-/// cells — still one IEEE subtraction per cell component, bit-identical
-/// to the scalar loop.
-fn subtract_hists(parent: &mut NodeHists, child: &NodeHists) {
-    let n = parent.data.len().min(child.data.len());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::active_level() >= crate::simd::SimdLevel::Avx2 {
-        // SAFETY: `active_level` never reports Avx2-or-above without
-        // AVX2 CPU support (Avx512 implies it).
-        unsafe {
-            crate::simd::x86::sub_f64_avx2(
-                parent.data[..n].as_flattened_mut(),
-                child.data[..n].as_flattened(),
-            )
-        };
-        return;
-    }
-    for (ps, cs) in parent.data[..n].iter_mut().zip(&child.data[..n]) {
-        ps[0] -= cs[0];
-        ps[1] -= cs[1];
-    }
-}
-
-/// Bench/test hook: build one root-node histogram set over all rows and
-/// features of `binned` (identity position map, serial) and return a
-/// checksum of the accumulated cells. This is exactly the per-node
-/// kernel `bench_grid` times and `perf_check` gates; the checksum keeps
-/// the work observable so the timing loop cannot be optimised away.
-#[doc(hidden)]
-pub fn build_hists_for_bench(binned: &BinnedMatrix, grad: &[f64], hess: &[f64]) -> f64 {
-    let n = binned.nrows();
-    assert_eq!(grad.len(), n, "one gradient per row");
-    assert_eq!(hess.len(), n, "one hessian per row");
-    let mut params = Params::regression();
-    params.parallel_split_threshold = usize::MAX;
-    let map: Vec<usize> = (0..n).collect();
-    let features: Vec<usize> = (0..binned.ncols()).collect();
-    let rctx = RoundCtx { map: &map, grad, hess, features: &features, params: &params };
-    let rows: Vec<usize> = (0..n).collect();
-    let mut out = NodeHists::default();
-    build_hists(binned, &rctx, &rows, &mut out);
-    out.data.iter().map(|c| c[0] + c[1]).sum()
-}
-
-fn find_split_hist(
-    binned: &BinnedMatrix,
-    rctx: &RoundCtx,
-    hists: &NodeHists,
-    node_rows: usize,
-    g: f64,
-    h: f64,
-) -> Option<SplitCandidate> {
-    let cfg = rctx.split_config();
-    let threads = rctx.scan_threads(node_rows);
-    let nf = rctx.features.len();
-    if threads <= 1 || nf < 2 {
-        let mut tracker = BestTracker::new(cfg, g, h);
-        for (fi, &f) in rctx.features.iter().enumerate() {
-            scan_hist(f, binned.cuts(f), hists.feature(fi), g, h, &mut tracker);
-        }
-        return tracker.best;
-    }
-    let threads = threads.min(nf);
-    let chunk = nf.div_ceil(threads);
-    let results: Vec<Option<SplitCandidate>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nf)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(nf);
-                s.spawn(move || {
-                    let mut tracker = BestTracker::new(cfg, g, h);
-                    for fi in start..end {
-                        let f = rctx.features[fi];
-                        scan_hist(f, binned.cuts(f), hists.feature(fi), g, h, &mut tracker);
-                    }
-                    tracker.best
-                })
-            })
-            .collect();
-        handles.into_iter().map(|hd| hd.join().expect("split worker panicked")).collect()
-    });
-    merge_chunks(cfg, g, h, results)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn grow_hist(
-    binned: &BinnedMatrix,
-    rctx: &RoundCtx,
-    tree: &mut TreeBuf,
-    rows: Vec<usize>,
-    mut hists: NodeHists,
-    depth: usize,
-    g: f64,
-    h: f64,
-    pools: &mut EnginePools,
-    leaf_of: &mut [f64],
-) -> usize {
-    if depth >= rctx.params.max_depth || rows.len() < 2 {
-        let idx = rctx.leaf(tree, depth, &rows, leaf_of, g, h);
-        pools.put_rows(rows);
-        pools.put_hists(hists);
-        return idx;
-    }
-    let Some(split) = find_split_hist(binned, rctx, &hists, rows.len(), g, h) else {
-        let idx = rctx.leaf(tree, depth, &rows, leaf_of, g, h);
-        pools.put_rows(rows);
-        pools.put_hists(hists);
-        return idx;
-    };
-
-    // Histogram thresholds are cut values: bins at or below the cut's
-    // index go left, exactly the `value < threshold` routing.
-    let cuts = binned.cuts(split.feature);
-    let boundary = cuts.partition_point(|&c| c < split.threshold);
-    let mut left_rows = pools.take_rows();
-    let mut right_rows = pools.take_rows();
-    for &p in &rows {
-        let goes_left = match binned.bin(rctx.map[p], split.feature) {
-            None => split.default_left,
-            Some(b) => (b as usize) <= boundary,
-        };
-        if goes_left {
-            left_rows.push(p);
-        } else {
-            right_rows.push(p);
-        }
-    }
-    if left_rows.is_empty() || right_rows.is_empty() {
-        let idx = rctx.leaf(tree, depth, &rows, leaf_of, g, h);
-        pools.put_rows(rows);
-        pools.put_rows(left_rows);
-        pools.put_rows(right_rows);
-        pools.put_hists(hists);
-        return idx;
-    }
-    pools.put_rows(rows);
-
-    // Accumulate only the smaller child; derive the larger by
-    // subtraction from the parent (recycling the parent's buffer).
-    let left_smaller = left_rows.len() <= right_rows.len();
-    let small_rows = if left_smaller { &left_rows } else { &right_rows };
-    let mut small_hists = pools.take_hists();
-    build_hists(binned, rctx, small_rows, &mut small_hists);
-    subtract_hists(&mut hists, &small_hists);
-    let (left_hists, right_hists) =
-        if left_smaller { (small_hists, hists) } else { (hists, small_hists) };
-
-    let node_idx = push_split(tree, &split, h);
-    let left_idx = grow_hist(
-        binned,
-        rctx,
-        tree,
-        left_rows,
-        left_hists,
-        depth + 1,
-        split.left_grad,
-        split.left_hess,
-        pools,
-        leaf_of,
-    );
-    let right_idx = grow_hist(
-        binned,
-        rctx,
-        tree,
-        right_rows,
-        right_hists,
-        depth + 1,
-        split.right_grad,
-        split.right_hess,
-        pools,
-        leaf_of,
-    );
-    tree.link(node_idx, left_idx, right_idx);
-    node_idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1195,9 +689,10 @@ mod tests {
 
     proptest! {
         /// With every feature's distinct count far below `max_bins`, the
-        /// histogram cuts are the exact midpoints, so the two finders
-        /// see identical candidate sets and must agree on the winning
-        /// (feature, threshold, default direction) — bitwise.
+        /// histogram cuts are the exact midpoints, so the exact finder and
+        /// the histogram scan see identical candidate sets and must agree
+        /// on the winning (feature, threshold, default direction) —
+        /// bitwise.
         #[test]
         fn hist_and_exact_agree_when_bins_are_exact(
             ncols in 1usize..4,
@@ -1214,7 +709,7 @@ mod tests {
             );
             let params = split_params();
             let index = ExactIndex::fit(&data);
-            let binned = BinnedMatrix::fit(&data, 256);
+            let binned = crate::chunked::ChunkedMatrix::fit(&data, 256);
             let map: Vec<usize> = (0..n).collect();
             let features: Vec<usize> = (0..ncols).collect();
             let grad = &grads[..n];
@@ -1227,9 +722,20 @@ mod tests {
             let mut pools = EnginePools::default();
             let lists = root_lists(&index, &rctx, &node, &mut pools);
             let exact = find_split_exact(&index, &rctx, &lists, n, g, h);
-            let mut hists = pools.take_hists();
-            build_hists(&binned, &rctx, &node, &mut hists);
-            let hist = find_split_hist(&binned, &rctx, &hists, n, g, h);
+            // The histogram scan over in-band histograms accumulated in
+            // row order from the binned codes.
+            let codes = binned.codes().expect("one in-memory block");
+            let mut tracker = BestTracker::new(rctx.split_config(), g, h);
+            for f in 0..ncols {
+                let mut hist = vec![[0.0f64; 2]; binned.cuts(f).len() + 2];
+                for i in 0..n {
+                    let cell = &mut hist[codes[i * ncols + f] as usize];
+                    cell[0] += grad[i];
+                    cell[1] += hess[i];
+                }
+                crate::split::scan_hist(f, binned.cuts(f), &hist, g, h, &mut tracker);
+            }
+            let hist = tracker.best;
 
             match (exact, hist) {
                 (None, None) => {}

@@ -20,8 +20,6 @@ pub enum TrainError {
     InvalidParam { name: &'static str, message: String },
     /// Logistic objective requires labels in {0, 1}.
     NonBinaryLabel { row: usize, value: f64 },
-    /// Eval set width disagrees with the training matrix.
-    EvalFeatureCount { expected: usize, actual: usize },
 }
 
 impl fmt::Display for TrainError {
@@ -36,9 +34,6 @@ impl fmt::Display for TrainError {
             }
             TrainError::NonBinaryLabel { row, value } => {
                 write!(f, "logistic objective requires labels in {{0,1}}, row {row} has {value}")
-            }
-            TrainError::EvalFeatureCount { expected, actual } => {
-                write!(f, "eval set has {actual} features but training data has {expected}")
             }
         }
     }

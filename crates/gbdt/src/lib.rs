@@ -13,10 +13,10 @@
 //! * two objectives — squared error for regression (QoL, SPPB) and
 //!   logistic loss with `scale_pos_weight` for the imbalanced Falls
 //!   classification;
-//! * two split finders behind one API — the exact greedy enumerator and
-//!   a histogram finder over quantile-sketch bins (the paper's learner
-//!   supports both; they form one of our ablation benches);
-//! * early stopping against a held-out evaluation set;
+//! * two tree growers behind one API — the exact greedy enumerator and
+//!   a histogram grower over quantile bins (the paper's learner
+//!   supports both; they form one of our ablation benches), the latter
+//!   streaming in-memory or spilled row blocks (see `chunked`);
 //! * gain / cover / frequency feature importances;
 //! * binary model (de)serialisation;
 //! * a shared-preparation engine: [`TrainingContext`] indexes and bins a
@@ -55,19 +55,19 @@ pub mod objective;
 pub mod params;
 pub mod serialize;
 pub mod simd;
-pub mod split;
+mod split;
 pub mod tree;
 
 pub use artifact::{fnv1a_64, ModelArtifact, ARTIFACT_VERSION};
 pub use booster::{Booster, EvalRecord, FitRun, TrainReport};
+#[doc(hidden)]
+pub use chunked::build_hists_for_bench;
 pub use chunked::{
     encode_rows, predict_rows_chunked, train_chunked, train_chunked_on, ChunkedFitRun,
     ChunkedMatrix, ChunkedMatrixBuilder, ChunkedView, CutSketch, DEFAULT_BLOCK_ROWS,
     DEFAULT_SKETCH_DISTINCT,
 };
 pub use context::{ContextCache, ExactIndex, TrainingContext, MISSING_RANK};
-#[doc(hidden)]
-pub use engine::build_hists_for_bench;
 pub use engine::TreeScratch;
 pub use error::{ChunkError, GbdtError, PredictError, TrainError};
 pub use forest::FlatForest;

@@ -84,7 +84,7 @@ impl Objective {
         }
     }
 
-    /// Mean loss of raw predictions, used for early stopping.
+    /// Mean loss of raw predictions (the per-round training loss).
     pub fn loss(&self, labels: &[f64], raw: &[f64]) -> f64 {
         debug_assert_eq!(labels.len(), raw.len());
         let n = labels.len() as f64;

@@ -50,11 +50,9 @@ pub struct Params {
     pub tree_method: TreeMethod,
     /// Seed driving all subsampling.
     pub seed: u64,
-    /// Stop when the eval loss has not improved for this many rounds
-    /// (only when an eval set is supplied). `0` disables early stopping.
-    pub early_stopping_rounds: usize,
-    /// Grow trees with per-feature parallel split search once a node has
-    /// at least this many rows. `usize::MAX` forces single-threaded.
+    /// Grow exact-method trees with per-feature parallel split search
+    /// once a node has at least this many rows. `usize::MAX` forces
+    /// single-threaded.
     pub parallel_split_threshold: usize,
 }
 
@@ -73,7 +71,6 @@ impl Params {
             objective: Objective::SquaredError,
             tree_method: TreeMethod::Exact,
             seed: 42,
-            early_stopping_rounds: 0,
             parallel_split_threshold: 4096,
         }
     }

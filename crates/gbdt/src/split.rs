@@ -1,12 +1,9 @@
-//! Split finding: the exact greedy enumerator and the histogram scanner,
-//! both sparsity-aware (XGBoost §3.3–3.4).
+//! Split scoring shared by the exact grower (`engine.rs`) and the
+//! histogram grower (`chunked.rs`), sparsity-aware (XGBoost §3.3–3.4).
 //!
 //! For every candidate threshold the finder evaluates *two* routings of
 //! the missing-value mass — all-missing-left and all-missing-right — and
 //! keeps the better one as the split's learned default direction.
-
-use crate::binning::BinnedMatrix;
-use msaw_tabular::Matrix;
 
 /// The best split found for a node, with the child gradient statistics
 /// needed to seed the recursion without rescanning.
@@ -47,9 +44,10 @@ pub struct SplitConfig {
     pub min_child_weight: f64,
 }
 
-/// Candidate bookkeeping shared by the exact and histogram scanners
-/// (and the shared-context engine in `engine.rs`): given left/right
-/// statistics for both missing routings, keep the best.
+/// Candidate bookkeeping shared by the exact and histogram scans: given
+/// left/right statistics for both missing routings, keep the best. The
+/// tie-break is a total order on (gain, feature, threshold), so the
+/// winner does not depend on the order features are scanned in.
 pub(crate) struct BestTracker {
     cfg: SplitConfig,
     parent_score: f64,
@@ -146,9 +144,8 @@ impl BestTracker {
 }
 
 /// Deterministically fold per-chunk winners into one best candidate,
-/// applying the same tie-break order as the serial scan — the single
-/// merge implementation behind both the standalone finders here and the
-/// shared-context engine's parallel scans.
+/// applying the same tie-break order as the serial scan — the merge
+/// behind the exact engine's feature-parallel scans.
 pub(crate) fn merge_chunks(
     cfg: SplitConfig,
     total_g: f64,
@@ -164,137 +161,10 @@ pub(crate) fn merge_chunks(
     best
 }
 
-/// Exact greedy search over one feature: sort the node's present values
-/// and scan every boundary between distinct values.
-#[allow(clippy::too_many_arguments)]
-fn scan_feature_exact(
-    data: &Matrix,
-    rows: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    feature: usize,
-    total_g: f64,
-    total_h: f64,
-    tracker: &mut BestTracker,
-    scratch: &mut Vec<(f64, f64, f64)>,
-) {
-    scratch.clear();
-    let mut g_miss = 0.0;
-    let mut h_miss = 0.0;
-    for &r in rows {
-        let v = data.get(r, feature);
-        if v.is_nan() {
-            g_miss += grad[r];
-            h_miss += hess[r];
-        } else {
-            scratch.push((v, grad[r], hess[r]));
-        }
-    }
-    if scratch.len() < 2 {
-        return;
-    }
-    scratch.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaNs filtered"));
-    let mut gl = 0.0;
-    let mut hl = 0.0;
-    for i in 0..scratch.len() - 1 {
-        let (v, g, h) = scratch[i];
-        gl += g;
-        hl += h;
-        let v_next = scratch[i + 1].0;
-        if v_next == v {
-            continue;
-        }
-        let threshold = v + (v_next - v) * 0.5;
-        tracker.offer_both(feature, threshold, gl, hl, g_miss, h_miss, total_g, total_h);
-    }
-}
-
-/// Histogram search over one feature: scan quantile-bin boundaries using
-/// per-bin accumulated statistics. Dispatches to the branch-free
-/// in-band SIMD accumulator when a vector level is active; the scalar
-/// loop below stays the always-compiled fallback, and both accumulate
-/// each cell in row order, so the split choice is bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn scan_feature_hist(
-    binned: &BinnedMatrix,
-    rows: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    feature: usize,
-    total_g: f64,
-    total_h: f64,
-    tracker: &mut BestTracker,
-    hist: &mut Vec<[f64; 2]>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::active_level() != crate::simd::SimdLevel::Scalar {
-        scan_feature_hist_simd(binned, rows, grad, hess, feature, total_g, total_h, tracker, hist);
-        return;
-    }
-    let cuts = binned.cuts(feature);
-    if cuts.is_empty() {
-        return;
-    }
-    let n_bins = cuts.len() + 1;
-    hist.clear();
-    hist.resize(n_bins, [0.0; 2]);
-    let mut g_miss = 0.0;
-    let mut h_miss = 0.0;
-    for &r in rows {
-        match binned.bin(r, feature) {
-            None => {
-                g_miss += grad[r];
-                h_miss += hess[r];
-            }
-            Some(b) => {
-                let slot = &mut hist[b as usize];
-                slot[0] += grad[r];
-                slot[1] += hess[r];
-            }
-        }
-    }
-    scan_boundaries(feature, cuts, hist, g_miss, h_miss, total_g, total_h, tracker);
-}
-
-/// The vector twin of [`scan_feature_hist`]: one extra trailing slot
-/// receives the missing mass through the raw in-band code — no per-row
-/// present/missing branch — and each `(g, h)` cell is updated with a
-/// 128-bit pair-add (two independent IEEE additions). Every cell sees
-/// the same additions in the same row order as the scalar loop, so the
-/// offered candidates are bitwise identical.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn scan_feature_hist_simd(
-    binned: &BinnedMatrix,
-    rows: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    feature: usize,
-    total_g: f64,
-    total_h: f64,
-    tracker: &mut BestTracker,
-    hist: &mut Vec<[f64; 2]>,
-) {
-    use crate::simd::x86::{pack_gh, pair_add};
-    let cuts = binned.cuts(feature);
-    if cuts.is_empty() {
-        return;
-    }
-    let n_bins = cuts.len() + 1;
-    hist.clear();
-    hist.resize(n_bins + 1, [0.0; 2]);
-    for &r in rows {
-        let gh = pack_gh(grad[r], hess[r]);
-        pair_add(&mut hist[binned.code(r, feature) as usize], gh);
-    }
-    scan_hist(feature, cuts, hist, total_g, total_h, tracker);
-}
-
 /// Scan the bin boundaries of one feature's prebuilt histogram and
 /// offer every candidate to `tracker`. `hist` carries one slot per bin
-/// plus a trailing missing slot (the in-band layout every hist builder
-/// in this crate produces); this is the shared boundary pass behind the
-/// engine's node-parallel finder and the chunked out-of-core trainer.
+/// plus a trailing missing slot (the in-band layout the histogram grower
+/// accumulates).
 pub(crate) fn scan_hist(
     feature: usize,
     cuts: &[f64],
@@ -366,113 +236,38 @@ fn scan_boundaries_simd(
     }
 }
 
-/// Find the best split across `features` with the exact finder.
-/// When `threads > 1` the feature set is scanned in parallel with
-/// deterministic tie-breaking, so results match the serial scan.
-#[allow(clippy::too_many_arguments)]
-pub fn find_best_exact(
-    data: &Matrix,
-    rows: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    features: &[usize],
-    total_g: f64,
-    total_h: f64,
-    cfg: SplitConfig,
-    threads: usize,
-) -> Option<SplitCandidate> {
-    if threads <= 1 || features.len() < 2 {
-        let mut tracker = BestTracker::new(cfg, total_g, total_h);
-        let mut scratch = Vec::with_capacity(rows.len());
-        for &f in features {
-            scan_feature_exact(
-                data,
-                rows,
-                grad,
-                hess,
-                f,
-                total_g,
-                total_h,
-                &mut tracker,
-                &mut scratch,
-            );
-        }
-        return tracker.best;
-    }
-    let threads = threads.min(features.len());
-    let chunk = features.len().div_ceil(threads);
-    let results: Vec<Option<SplitCandidate>> = std::thread::scope(|s| {
-        let handles: Vec<_> = features
-            .chunks(chunk)
-            .map(|fs| {
-                s.spawn(move || {
-                    let mut tracker = BestTracker::new(cfg, total_g, total_h);
-                    let mut scratch = Vec::with_capacity(rows.len());
-                    for &f in fs {
-                        scan_feature_exact(
-                            data,
-                            rows,
-                            grad,
-                            hess,
-                            f,
-                            total_g,
-                            total_h,
-                            &mut tracker,
-                            &mut scratch,
-                        );
-                    }
-                    tracker.best
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("split worker panicked")).collect()
-    });
-    merge_chunks(cfg, total_g, total_h, results)
-}
-
-/// Find the best split across `features` with the histogram finder.
-#[allow(clippy::too_many_arguments)]
-pub fn find_best_hist(
-    binned: &BinnedMatrix,
-    rows: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    features: &[usize],
-    total_g: f64,
-    total_h: f64,
-    cfg: SplitConfig,
-) -> Option<SplitCandidate> {
-    let mut tracker = BestTracker::new(cfg, total_g, total_h);
-    let mut hist = Vec::new();
-    for &f in features {
-        scan_feature_hist(binned, rows, grad, hess, f, total_g, total_h, &mut tracker, &mut hist);
-    }
-    tracker.best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn simple_data() -> (Matrix, Vec<f64>, Vec<f64>) {
-        // Feature 0 separates rows {0,1} (grad +1) from {2,3} (grad -1).
-        let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![10.0], vec![11.0]]);
-        let grad = vec![1.0, 1.0, -1.0, -1.0];
-        let hess = vec![1.0; 4];
-        (x, grad, hess)
-    }
 
     fn cfg() -> SplitConfig {
         SplitConfig { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 }
     }
 
+    /// Scan one feature's histogram (bins then the missing slot) with a
+    /// fresh tracker over the histogram's own totals.
+    fn scan(cuts: &[f64], hist: &[[f64; 2]], cfg: SplitConfig) -> Option<SplitCandidate> {
+        let total_g: f64 = hist.iter().map(|c| c[0]).sum();
+        let total_h: f64 = hist.iter().map(|c| c[1]).sum();
+        let mut tracker = BestTracker::new(cfg, total_g, total_h);
+        scan_hist(0, cuts, hist, total_g, total_h, &mut tracker);
+        tracker.best
+    }
+
+    /// Values {0, 1} (grad +1 each) against {10, 11} (grad −1 each),
+    /// one bin per distinct value, nothing missing.
+    fn separable() -> (Vec<f64>, Vec<[f64; 2]>) {
+        let cuts = vec![0.5, 5.5, 10.5];
+        let hist = vec![[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]];
+        (cuts, hist)
+    }
+
     #[test]
-    fn exact_finds_the_obvious_split() {
-        let (x, g, h) = simple_data();
-        let rows: Vec<usize> = (0..4).collect();
-        let best = find_best_exact(&x, &rows, &g, &h, &[0], 0.0, 4.0, cfg(), 1).unwrap();
+    fn scan_finds_the_obvious_split() {
+        let (cuts, hist) = separable();
+        let best = scan(&cuts, &hist, cfg()).unwrap();
         assert_eq!(best.feature, 0);
-        assert!(best.threshold > 1.0 && best.threshold < 10.0);
+        assert_eq!(best.threshold, 5.5);
         // Left has grads +2, right -2 → gain = 0.5*(4/3 + 4/3 - 0) = 4/3
         assert!((best.gain - 4.0 / 3.0).abs() < 1e-9);
         assert_eq!(best.left_grad, 2.0);
@@ -480,39 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn threshold_is_midpoint_between_distinct_values() {
-        let (x, g, h) = simple_data();
-        let rows: Vec<usize> = (0..4).collect();
-        let best = find_best_exact(&x, &rows, &g, &h, &[0], 0.0, 4.0, cfg(), 1).unwrap();
-        assert_eq!(best.threshold, 5.5);
-    }
-
-    #[test]
-    fn missing_values_choose_the_better_side() {
-        // Rows 0,1 present low values with +1 grads; rows 2,3 missing with
-        // -1 grads. The only boundary is between values 0 and 1; routing
-        // the missing mass right separates + from - best.
-        let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![f64::NAN], vec![f64::NAN]]);
-        let g = vec![1.0, 1.0, -1.0, -1.0];
-        let h = vec![1.0; 4];
-        let rows: Vec<usize> = (0..4).collect();
-        let best = find_best_exact(&x, &rows, &g, &h, &[0], 0.0, 4.0, cfg(), 1).unwrap();
-        // Both grads positive below threshold: threshold 0.5 splits row 0
-        // from row 1; best config puts missing right with leftover +1.
-        // What matters: a split exists and default direction is learned.
-        assert!(!best.default_left);
-        assert!(best.gain > 0.0);
-    }
-
-    #[test]
     fn missing_left_wins_when_it_matches_signs() {
         // Present: low value +1 grad, high value -1. Missing rows grad +1
         // belong with the low side (left).
-        let x = Matrix::from_rows(&[vec![0.0], vec![10.0], vec![f64::NAN]]);
-        let g = vec![1.0, -1.0, 1.0];
-        let h = vec![1.0; 3];
-        let rows: Vec<usize> = (0..3).collect();
-        let best = find_best_exact(&x, &rows, &g, &h, &[0], 1.0, 3.0, cfg(), 1).unwrap();
+        let cuts = [5.0];
+        let hist = [[1.0, 1.0], [-1.0, 1.0], [1.0, 1.0]];
+        let best = scan(&cuts, &hist, cfg()).unwrap();
         assert!(best.default_left);
         assert_eq!(best.left_grad, 2.0);
         assert_eq!(best.right_grad, -1.0);
@@ -520,76 +288,30 @@ mod tests {
 
     #[test]
     fn min_child_weight_blocks_thin_children() {
-        let (x, g, h) = simple_data();
-        let rows: Vec<usize> = (0..4).collect();
-        let strict = SplitConfig { min_child_weight: 3.0, ..cfg() };
-        assert!(find_best_exact(&x, &rows, &g, &h, &[0], 0.0, 4.0, strict, 1).is_none());
+        let (cuts, hist) = separable();
+        assert!(scan(&cuts, &hist, SplitConfig { min_child_weight: 3.0, ..cfg() }).is_none());
     }
 
     #[test]
     fn gamma_blocks_weak_splits() {
-        let (x, g, h) = simple_data();
-        let rows: Vec<usize> = (0..4).collect();
-        let strict = SplitConfig { gamma: 10.0, ..cfg() };
-        assert!(find_best_exact(&x, &rows, &g, &h, &[0], 0.0, 4.0, strict, 1).is_none());
+        let (cuts, hist) = separable();
+        assert!(scan(&cuts, &hist, SplitConfig { gamma: 10.0, ..cfg() }).is_none());
     }
 
     #[test]
-    fn constant_feature_yields_no_split() {
-        let x = Matrix::from_rows(&[vec![2.0], vec![2.0], vec![2.0]]);
-        let g = vec![1.0, -1.0, 0.0];
-        let h = vec![1.0; 3];
-        let rows: Vec<usize> = (0..3).collect();
-        assert!(find_best_exact(&x, &rows, &g, &h, &[0], 0.0, 3.0, cfg(), 1).is_none());
+    fn featureless_histogram_yields_no_split() {
+        // A constant feature has no cuts, hence no boundary to offer.
+        assert!(scan(&[], &[[1.0, 3.0], [0.0, 0.0]], cfg()).is_none());
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        // 8 informative-ish features with varying alignments.
-        let nrows = 64;
-        let ncols = 8;
-        let mut data = vec![0.0; nrows * ncols];
-        let mut grad = Vec::with_capacity(nrows);
-        for i in 0..nrows {
-            for j in 0..ncols {
-                // Deterministic pseudo-values.
-                data[i * ncols + j] = ((i * 31 + j * 17) % 97) as f64;
-            }
-            grad.push(if i % 3 == 0 { 1.0 } else { -0.5 });
+    fn merge_keeps_the_serial_winner() {
+        let (cuts, hist) = separable();
+        let best = scan(&cuts, &hist, cfg());
+        let weaker = SplitCandidate { gain: 0.1, feature: 7, ..best.clone().unwrap() };
+        for order in [vec![best.clone(), Some(weaker.clone())], vec![Some(weaker), best.clone()]] {
+            assert_eq!(merge_chunks(cfg(), 0.0, 4.0, order), best);
         }
-        let x = Matrix::from_vec(data, nrows, ncols);
-        let hess = vec![1.0; nrows];
-        let rows: Vec<usize> = (0..nrows).collect();
-        let features: Vec<usize> = (0..ncols).collect();
-        let tg: f64 = grad.iter().sum();
-        let th: f64 = hess.iter().sum();
-        let serial = find_best_exact(&x, &rows, &grad, &hess, &features, tg, th, cfg(), 1);
-        let parallel = find_best_exact(&x, &rows, &grad, &hess, &features, tg, th, cfg(), 4);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn hist_agrees_with_exact_on_small_data() {
-        let (x, g, h) = simple_data();
-        let binned = BinnedMatrix::fit(&x, 64);
-        let rows: Vec<usize> = (0..4).collect();
-        let exact = find_best_exact(&x, &rows, &g, &h, &[0], 0.0, 4.0, cfg(), 1).unwrap();
-        let hist = find_best_hist(&binned, &rows, &g, &h, &[0], 0.0, 4.0, cfg()).unwrap();
-        assert_eq!(exact.feature, hist.feature);
-        assert!((exact.gain - hist.gain).abs() < 1e-9);
-        // With fewer distinct values than bins the cut set is exact.
-        assert_eq!(exact.threshold, hist.threshold);
-    }
-
-    #[test]
-    fn hist_handles_missing_mass() {
-        let x = Matrix::from_rows(&[vec![0.0], vec![10.0], vec![f64::NAN]]);
-        let binned = BinnedMatrix::fit(&x, 8);
-        let g = vec![1.0, -1.0, 1.0];
-        let h = vec![1.0; 3];
-        let rows: Vec<usize> = (0..3).collect();
-        let best = find_best_hist(&binned, &rows, &g, &h, &[0], 1.0, 3.0, cfg()).unwrap();
-        assert!(best.default_left);
     }
 
     #[test]

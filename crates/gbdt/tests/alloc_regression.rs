@@ -2,8 +2,9 @@
 //!
 //! The scratch-arena contract: after the first boosting round has
 //! paid the worst-case arena allocations, every later round of the
-//! same [`FitRun`] — and every later fit reusing the same
-//! [`TreeScratch`] — performs **zero** heap allocations. This test
+//! same [`FitRun`] (exact) or [`ChunkedFitRun`] (histogram) — and every
+//! later fit reusing the same [`TreeScratch`] — performs **zero** heap
+//! allocations. This test
 //! binary installs a counting `#[global_allocator]` (test binaries get
 //! their own process, so the hook is invisible to the rest of the
 //! suite) and pins that contract for both tree methods and for pooled
@@ -131,14 +132,25 @@ fn rounds_after_the_first_do_not_allocate_exact() {
 
 #[test]
 fn rounds_after_the_first_do_not_allocate_hist() {
+    // In-memory histogram training: the context's one-block matrix, a
+    // shuffled row view, row and column subsampling below 1 — every
+    // round after the first draws its samples, walks them and routes
+    // the rows outside the sample without touching the heap.
     let (data, labels) = problem(120, 8);
-    let ctx = TrainingContext::new(&data);
-    let rows: Vec<usize> = (0..data.nrows()).collect();
+    let ctx = TrainingContext::with_max_bins(&data, 32);
+    let rows: Vec<u32> = (0..data.nrows() as u32).rev().collect();
+    let y: Vec<f64> = rows.iter().map(|&r| labels[r as usize]).collect();
     let params = params(TreeMethod::Hist { max_bins: 32 });
     let mut scratch = TreeScratch::new();
-    let n_trees =
-        assert_rounds_allocation_free(&params, &ctx, &rows, &labels, &mut scratch, "hist");
-    assert_eq!(n_trees, params.n_estimators);
+    for fit in 0..2 {
+        let mut run =
+            ChunkedFitRun::new(&params, ctx.binned().view(), Some(&rows), &y, 1, &mut scratch)
+                .expect("valid hist fit");
+        let n_trees =
+            assert_chunked_run_allocation_free(&mut run, fit == 1, &format!("hist fit {fit}"));
+        assert_eq!(n_trees, params.n_estimators);
+        assert_eq!(run.finish().booster.trees().len(), params.n_estimators);
+    }
 }
 
 #[test]
@@ -171,8 +183,8 @@ fn a_second_fit_on_a_used_scratch_is_allocation_free_from_round_one() {
     assert_eq!(rounds, params.n_estimators);
 }
 
-/// The chunked problem: same synthetic data, stream-compatible params
-/// (no subsampling — the chunked trainer requires 1.0), and an
+/// The multi-block problem: same synthetic data, stream-compatible
+/// params (no subsampling — several blocks require 1.0), and an
 /// in-memory chunked matrix so the meter sees only trainer work.
 fn chunked_problem(nrows: usize, ncols: usize, block_rows: usize) -> (ChunkedMatrix, Vec<f64>) {
     let (data, labels) = problem(nrows, ncols);
@@ -192,19 +204,19 @@ fn chunked_params() -> Params {
     }
 }
 
-/// Drive one chunked fit round-by-round, asserting every round after
-/// the first allocates nothing.
-fn assert_chunked_rounds_allocation_free(
-    params: &Params,
-    matrix: &ChunkedMatrix,
-    labels: &[f64],
-    scratch: &mut TreeScratch,
+/// Drive a histogram fit to completion, asserting every round after
+/// the first (or every round, when `from_round_one`) allocates nothing.
+/// Returns the number of rounds run.
+fn assert_chunked_run_allocation_free(
+    run: &mut ChunkedFitRun<'_>,
+    from_round_one: bool,
     label: &str,
 ) -> usize {
-    let mut run = ChunkedFitRun::new(params, matrix.view(), None, labels, 1, scratch)
-        .expect("valid chunked fit");
-    assert!(run.round().expect("round"), "at least one round must run");
-    let mut rounds = 1;
+    let mut rounds = 0;
+    if !from_round_one {
+        assert!(run.round().expect("round"), "at least one round must run");
+        rounds = 1;
+    }
     while {
         let before = alloc_count();
         let more = run.round().expect("round");
@@ -219,8 +231,22 @@ fn assert_chunked_rounds_allocation_free(
         }
         more
     } {}
-    let report = run.finish();
-    report.booster.trees().len()
+    rounds
+}
+
+/// Drive one chunked fit round-by-round, asserting every round after
+/// the first allocates nothing.
+fn assert_chunked_rounds_allocation_free(
+    params: &Params,
+    matrix: &ChunkedMatrix,
+    labels: &[f64],
+    scratch: &mut TreeScratch,
+    label: &str,
+) -> usize {
+    let mut run = ChunkedFitRun::new(params, matrix.view(), None, labels, 1, scratch)
+        .expect("valid chunked fit");
+    assert_chunked_run_allocation_free(&mut run, false, label);
+    run.finish().booster.trees().len()
 }
 
 #[test]
@@ -259,17 +285,7 @@ fn a_second_chunked_fit_on_a_used_scratch_is_allocation_free_from_round_one() {
 
     let mut run =
         ChunkedFitRun::new(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
-    let mut rounds = 0;
-    while {
-        let before = alloc_count();
-        let more = run.round().unwrap();
-        let delta = alloc_count() - before;
-        if more {
-            rounds += 1;
-            assert_eq!(delta, 0, "warm-scratch chunked round {rounds} allocated {delta} times");
-        }
-        more
-    } {}
+    let rounds = assert_chunked_run_allocation_free(&mut run, true, "warm-scratch chunked");
     assert_eq!(rounds, params.n_estimators);
 }
 

@@ -1,8 +1,10 @@
-//! The out-of-core chunked trainer must be bitwise equal to the
-//! in-memory histogram path — for any block size, worker count {1, 2,
-//! 8}, memory or spilled storage, and both objectives. This is the
-//! determinism contract `bench_scale` and the population-scale pipeline
-//! rest on.
+//! The one histogram grower must produce the same bits over the
+//! one-block in-memory matrix that `Booster::train` and a
+//! `TrainingContext` build as over multi-block and spilled stores — for
+//! any block size, worker count {1, 2, 8}, prefetch setting and both
+//! objectives. This is the determinism contract `bench_scale` and the
+//! population-scale pipeline rest on. (`tests/hist_golden.rs` pins the
+//! one-block bits themselves.)
 
 use msaw_gbdt::{
     predict_rows_chunked, train_chunked, train_chunked_on, Booster, ChunkedMatrix,
@@ -100,21 +102,24 @@ fn chunked_equals_in_memory_across_block_sizes_and_workers() {
                 &data,
                 &format!("block_rows={block_rows} workers={workers}"),
             );
-            assert_eq!(report.best_round, params.n_estimators);
             assert_eq!(report.history.len(), params.n_estimators);
         }
     }
 }
 
 #[test]
-fn chunked_loss_history_matches_in_memory_fit() {
+fn multi_block_loss_history_matches_one_block_fit() {
     let nrows = 150;
     let ncols = 4;
     let rows = synth_rows(nrows, ncols);
     let labels = synth_labels(&rows, nrows, ncols);
     let data = Matrix::from_vec(rows.clone(), nrows, ncols);
     let params = hist_params();
-    let reference = Booster::train_with_eval(&params, &data, &labels, None).unwrap();
+    let one_block = ChunkedMatrix::fit(&data, 16);
+    assert_eq!(one_block.n_blocks(), 1);
+    let mut scratch = TreeScratch::new();
+    let reference =
+        train_chunked_on(&params, one_block.view(), None, &labels, 1, &mut scratch).unwrap();
 
     let mut m = chunk_matrix(&rows, ncols, 32);
     let report = train_chunked(&params, &mut m, &labels, 2).unwrap();
@@ -122,7 +127,6 @@ fn chunked_loss_history_matches_in_memory_fit() {
     for (a, b) in report.history.iter().zip(&reference.history) {
         assert_eq!(a.round, b.round);
         assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "round {}", a.round);
-        assert!(a.eval_loss.is_none());
     }
 }
 

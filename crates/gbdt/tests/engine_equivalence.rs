@@ -1,11 +1,11 @@
 //! The shared-context engine's contract: training on a row-index view
 //! of a `TrainingContext` is **bit-for-bit identical** (exact method) to
 //! materialising the rows with `take_rows` and training on the copy, and
-//! the context's shared binning is consistent with re-encoding any
-//! materialised subset against the same cuts.
+//! the context's shared binning (one in-memory block of codes) is
+//! consistent with re-encoding any materialised subset against the
+//! same cuts.
 
-use msaw_gbdt::binning::BinnedMatrix;
-use msaw_gbdt::{Booster, Params, TrainingContext, TreeMethod};
+use msaw_gbdt::{encode_rows, Booster, ChunkedMatrix, Params, TrainingContext, TreeMethod};
 use msaw_tabular::Matrix;
 use proptest::prelude::*;
 
@@ -196,15 +196,13 @@ proptest! {
     ) {
         let data = build(nrows, ncols, &cells);
         let ctx = TrainingContext::with_max_bins(&data, 8);
-        let materialised = BinnedMatrix::with_cuts(
-            &data.take_rows(&rows),
-            ctx.binned().clone_cuts(),
-        );
+        let codes = ctx.binned().codes().expect("a context holds one in-memory block");
+        let materialised = encode_rows(ctx.binned().cut_sets(), data.take_rows(&rows).as_slice());
         for (pos, &r) in rows.iter().enumerate() {
             for j in 0..ncols {
                 prop_assert_eq!(
-                    ctx.binned().bin(r, j),
-                    materialised.bin(pos, j),
+                    codes[r * ncols + j],
+                    materialised[pos * ncols + j],
                     "row {} feature {} disagrees", r, j
                 );
             }
@@ -232,10 +230,11 @@ proptest! {
         for i in 0..nrows {
             perm.swap(i, (i * 7 + salt) % nrows);
         }
-        let refit = BinnedMatrix::fit(&data.take_rows(&perm), 8);
+        let refit = ChunkedMatrix::fit(&data.take_rows(&perm), 8);
+        let (codes, refit_codes) = (ctx.binned().codes().unwrap(), refit.codes().unwrap());
         for (pos, &r) in perm.iter().enumerate() {
             for j in 0..ncols {
-                prop_assert_eq!(ctx.binned().bin(r, j), refit.bin(pos, j));
+                prop_assert_eq!(codes[r * ncols + j], refit_codes[pos * ncols + j]);
             }
         }
     }

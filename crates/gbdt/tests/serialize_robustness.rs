@@ -39,7 +39,7 @@ fn trained_model() -> Booster {
 
 fn trained_artifact() -> ModelArtifact {
     let (data, labels) = pseudo_data(150, 5);
-    let binned = msaw_gbdt::binning::BinnedMatrix::fit(&data, 32);
+    let binned = msaw_gbdt::ChunkedMatrix::fit(&data, 32);
     let params = Params {
         n_estimators: 12,
         max_depth: 4,
@@ -47,7 +47,7 @@ fn trained_artifact() -> ModelArtifact {
         ..Params::regression()
     };
     let model = Booster::train(&params, &data, &labels).unwrap();
-    ModelArtifact::from_booster(model, Some(binned.clone_cuts()))
+    ModelArtifact::from_booster(model, Some(binned.cut_sets().to_vec()))
 }
 
 /// Run a decoder over bytes inside a panic trap; a panic is a test
@@ -242,7 +242,7 @@ proptest! {
         prop_assert_eq!(&serialize::encode(&model2)[..], &v1[..]);
 
         // v2: the full bundle, with cuts when the hist method was used.
-        let cuts = hist.then(|| msaw_gbdt::binning::BinnedMatrix::fit(&data, 16).clone_cuts());
+        let cuts = hist.then(|| msaw_gbdt::ChunkedMatrix::fit(&data, 16).cut_sets().to_vec());
         let bundle = ModelArtifact::from_booster(model, cuts);
         let v2 = artifact::encode(&bundle);
         let bundle2 = artifact::decode(&v2).unwrap();

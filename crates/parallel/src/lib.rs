@@ -9,26 +9,27 @@
 //! state, no RNG, no time), and reassembly is keyed by job index rather
 //! than by completion order. Under that contract the pool only changes
 //! *when* a job runs, never *what* it computes, so
-//! `run_indexed_on(1, n, f) == run_indexed_on(k, n, f)` for every `k`.
+//! `try_run_scratch_on(1, n, s, f) == try_run_scratch_on(k, n, s, f)`
+//! for every `k`.
 //!
 //! ## Panic safety
 //!
-//! Every entry point has a `try_` twin (`try_run_indexed_on`,
-//! `try_run_scratch_on`, `try_run_blocks_on`, …) that wraps each job in
-//! [`std::panic::catch_unwind`] and returns `Err(`[`PoolError`]`)`
-//! instead of aborting the run. The failure policy is **drain, don't
-//! short-circuit**: after a job panics the pool keeps claiming and
-//! running the remaining jobs, so the reported failure is always the
-//! *lowest* failing job index — a pure function of the job list, never
-//! of worker count or scheduling. (Short-circuiting was rejected
-//! because a higher-index failure could suppress a lower-index one that
-//! another worker had not reached yet, making the report
-//! scheduling-dependent.) A worker whose job panics rebuilds its
-//! scratch value before the next claim, so surviving jobs never see a
-//! scratch a panic may have left half-written.
+//! The pool entry points ([`try_run_scratch_on`], [`try_run_blocks_on`],
+//! [`try_run_waves_on`]) wrap each job in [`std::panic::catch_unwind`]
+//! and return `Err(`[`PoolError`]`)` instead of aborting the run. The
+//! failure policy is **drain, don't short-circuit**: after a job panics
+//! the pool keeps claiming and running the remaining jobs, so the
+//! reported failure is always the *lowest* failing job index — a pure
+//! function of the job list, never of worker count or scheduling.
+//! (Short-circuiting was rejected because a higher-index failure could
+//! suppress a lower-index one that another worker had not reached yet,
+//! making the report scheduling-dependent.) A worker whose job panics
+//! rebuilds its scratch value before the next claim, so surviving jobs
+//! never see a scratch a panic may have left half-written.
 //!
-//! The infallible entry points are thin wrappers that panic with the
-//! failing job's index and payload message.
+//! The infallible entry points ([`run_scratch_on`], [`run_blocks_on`],
+//! [`run_blocks`]) are thin wrappers that panic with the failing job's
+//! index and payload message.
 //!
 //! Extracted from `msaw-core`'s grid runner (which fans ~72 fold/final
 //! fits) so the SHAP engine can fan row batches and conditional passes
@@ -81,39 +82,10 @@ pub fn default_workers(n_jobs: usize) -> usize {
     available_workers().clamp(1, n_jobs.max(1))
 }
 
-/// Run jobs `0..n_jobs` across the default bounded pool and return the
-/// outputs in job-index order.
-pub fn run_indexed<T, F>(n_jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_on(default_workers(n_jobs), n_jobs, job)
-}
-
-/// Run jobs `0..n_jobs` across exactly `workers` threads (clamped to
-/// the job count) and return the outputs in job-index order.
-pub fn run_indexed_on<T, F>(workers: usize, n_jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_scratch_on(workers, n_jobs, || (), |(), i| job(i))
-}
-
-/// [`try_run_indexed_on`] with the default bounded pool size.
-pub fn try_run_indexed<T, F>(n_jobs: usize, job: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    try_run_indexed_on(default_workers(n_jobs), n_jobs, job)
-}
-
-/// Panic-safe [`run_indexed_on`]: a panicking job yields
-/// `Err(PoolError)` carrying the lowest failing index (see the crate
-/// docs for the drain policy) instead of unwinding through the pool.
-pub fn try_run_indexed_on<T, F>(workers: usize, n_jobs: usize, job: F) -> Result<Vec<T>, PoolError>
+/// Jobs `0..n_jobs` across exactly `workers` threads, panic-safe — the
+/// job-only shape of [`try_run_scratch_on`] behind the block and wave
+/// entry points.
+fn try_run_indexed_on<T, F>(workers: usize, n_jobs: usize, job: F) -> Result<Vec<T>, PoolError>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -121,19 +93,11 @@ where
     try_run_scratch_on(workers, n_jobs, || (), |(), i| job(i))
 }
 
-/// [`run_scratch_on`] with the default bounded pool size.
-pub fn run_scratch<S, T, G, F>(n_jobs: usize, scratch: G, job: F) -> Vec<T>
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_scratch_on(default_workers(n_jobs), n_jobs, scratch, job)
-}
-
-/// Like [`run_indexed_on`], but each worker owns a reusable scratch
-/// value built by `scratch()` — the hook that lets e.g. a SHAP worker
-/// keep one traversal arena alive across all the rows it claims.
+/// Run jobs `0..n_jobs` across exactly `workers` threads (clamped to
+/// the job count) and return the outputs in job-index order. Each
+/// worker owns a reusable scratch value built by `scratch()` — the hook
+/// that lets e.g. a SHAP worker keep one traversal arena alive across
+/// all the rows it claims.
 ///
 /// The scratch must be a pure buffer: outputs may not depend on which
 /// jobs previously touched it, or determinism across worker counts is
@@ -148,16 +112,6 @@ where
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// [`try_run_scratch_on`] with the default bounded pool size.
-pub fn try_run_scratch<S, T, G, F>(n_jobs: usize, scratch: G, job: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    try_run_scratch_on(default_workers(n_jobs), n_jobs, scratch, job)
 }
 
 /// Panic-safe [`run_scratch_on`] — the crate's core primitive; every
@@ -229,13 +183,19 @@ where
         failures = failed;
     } else {
         let cursor = AtomicUsize::new(0);
+        #[cfg(feature = "failpoint")]
+        let plan = failpoint::inherit();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let cursor = &cursor;
                     let scratch = &scratch;
                     let job = &job;
+                    #[cfg(feature = "failpoint")]
+                    let plan = plan.clone();
                     scope.spawn(move || {
+                        #[cfg(feature = "failpoint")]
+                        plan.install();
                         drain(|| cursor.fetch_add(1, Ordering::Relaxed), n_jobs, scratch, job)
                     })
                 })
@@ -273,7 +233,7 @@ where
 /// amortise a pool claim — batch prediction being the canonical case:
 /// each block job returns one output per item of its range, and the
 /// index-ordered reassembly keeps the flattened vector byte-identical
-/// at any worker count (the same contract as [`run_indexed_on`]).
+/// at any worker count (the same contract as [`run_scratch_on`]).
 pub fn run_blocks_on<T, F>(workers: usize, n_items: usize, block_len: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -283,16 +243,6 @@ where
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// [`try_run_blocks_on`] with the default bounded pool size.
-pub fn try_run_blocks<T, F>(n_items: usize, block_len: usize, job: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-{
-    let n_blocks = n_items.div_ceil(block_len.max(1));
-    try_run_blocks_on(default_workers(n_blocks), n_items, block_len, job)
 }
 
 /// Panic-safe [`run_blocks_on`]. `PoolError::job` is the failing
@@ -397,10 +347,18 @@ where
 /// batcher at an exact batch so queue-pressure behaviour (deadlines,
 /// quotas, degradation) is testable without timing races. Compiled
 /// out entirely unless the feature is enabled.
+///
+/// Plans are scoped to threads: arming writes the calling thread's
+/// plan, and a site fires only on a thread that holds that plan — the
+/// thread that armed it, or a thread started with [`inherit`](failpoint::inherit)
+/// from one that did (the pool's workers and the serving batcher are).
+/// A site armed by one test therefore cannot fire inside another
+/// test's pool or service running at the same time.
 #[cfg(feature = "failpoint")]
 pub mod failpoint {
+    use std::cell::RefCell;
     use std::collections::HashMap;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     /// What an armed site does when its job hits it.
@@ -410,15 +368,42 @@ pub mod failpoint {
         Sleep(Duration),
     }
 
-    static ARMED: Mutex<Option<HashMap<String, HashMap<usize, Action>>>> = Mutex::new(None);
+    /// Armed sites: site name → job index → action.
+    type Plan = Arc<Mutex<HashMap<String, HashMap<usize, Action>>>>;
+
+    thread_local! {
+        /// The plan this thread arms and fires: its own, or the one it
+        /// inherited from the thread that started it.
+        static PLAN: RefCell<Option<Plan>> = const { RefCell::new(None) };
+    }
+
+    /// The calling thread's plan, created on first use.
+    fn plan() -> Plan {
+        PLAN.with(|p| p.borrow_mut().get_or_insert_with(Plan::default).clone())
+    }
+
+    /// The calling thread's plan, to hand to a thread it starts. Sites
+    /// armed or disarmed later on either thread are seen by both.
+    #[derive(Clone)]
+    pub struct Inherited(Plan);
+
+    /// Capture the calling thread's plan for a thread about to start;
+    /// that thread calls [`Inherited::install`] first thing.
+    pub fn inherit() -> Inherited {
+        Inherited(plan())
+    }
+
+    impl Inherited {
+        /// Make the captured plan the current thread's.
+        pub fn install(self) {
+            PLAN.with(|p| *p.borrow_mut() = Some(self.0));
+        }
+    }
 
     fn arm_action(site: &str, job: usize, action: Action) {
-        let mut armed = ARMED.lock().expect("failpoint registry");
-        armed
-            .get_or_insert_with(HashMap::new)
-            .entry(site.to_string())
-            .or_default()
-            .insert(job, action);
+        let plan = plan();
+        let mut armed = plan.lock().expect("failpoint plan");
+        armed.entry(site.to_string()).or_default().insert(job, action);
     }
 
     /// Arm `site` to panic when job `job` hits it. A site may be armed
@@ -436,21 +421,23 @@ pub mod failpoint {
         arm_action(site, job, Action::Sleep(delay));
     }
 
-    /// Disarm every site.
+    /// Disarm every site of the calling thread's plan.
     pub fn disarm_all() {
-        *ARMED.lock().expect("failpoint registry") = None;
+        plan().lock().expect("failpoint plan").clear();
     }
 
-    /// Fire whatever `site` is armed for at `job`. Call from production
-    /// code under `#[cfg(feature = "failpoint")]`; a disarmed site is a
-    /// cheap map lookup. The registry lock is released before the
-    /// action runs, so a sleeping site never blocks arming or other
-    /// sites.
+    /// Fire whatever `site` is armed for at `job` in the calling
+    /// thread's plan. Call from production code under
+    /// `#[cfg(feature = "failpoint")]`; a thread without a plan returns
+    /// at once, and an unarmed site is a cheap map lookup. The plan's
+    /// lock is released before the action runs, so a sleeping site never
+    /// blocks arming or other sites.
     pub fn hit(site: &str, job: usize) {
-        let action = {
-            let armed = ARMED.lock().expect("failpoint registry");
-            armed.as_ref().and_then(|map| map.get(site)).and_then(|jobs| jobs.get(&job)).copied()
-        };
+        let action = PLAN.with(|p| {
+            let plan = p.borrow();
+            let armed = plan.as_ref()?.lock().expect("failpoint plan");
+            armed.get(site).and_then(|jobs| jobs.get(&job)).copied()
+        });
         match action {
             Some(Action::Panic) => panic!("failpoint `{site}` fired at job {job}"),
             Some(Action::Sleep(delay)) => std::thread::sleep(delay),
@@ -464,25 +451,39 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// `job` as a scratch-free job list on the infallible pool.
+    fn jobs<T: Send>(workers: usize, n_jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        run_scratch_on(workers, n_jobs, || (), |(), i| job(i))
+    }
+
+    /// `job` as a scratch-free job list on the panic-safe pool.
+    fn try_jobs<T: Send>(
+        workers: usize,
+        n_jobs: usize,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> Result<Vec<T>, PoolError> {
+        try_run_scratch_on(workers, n_jobs, || (), |(), i| job(i))
+    }
+
     #[test]
     fn outputs_are_in_index_order_at_any_worker_count() {
         let expect: Vec<usize> = (0..97).map(|i| i * i).collect();
         for workers in [1, 2, 3, 8, 64] {
-            let got = run_indexed_on(workers, 97, |i| i * i);
+            let got = jobs(workers, 97, |i| i * i);
             assert_eq!(got, expect, "workers={workers}");
         }
     }
 
     #[test]
     fn zero_jobs_yield_empty_output() {
-        let got: Vec<usize> = run_indexed(0, |i| i);
+        let got: Vec<usize> = jobs(default_workers(0), 0, |i| i);
         assert!(got.is_empty());
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        run_indexed_on(4, 50, |i| counters[i].fetch_add(1, Ordering::Relaxed));
+        jobs(4, 50, |i| counters[i].fetch_add(1, Ordering::Relaxed));
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "job {i}");
         }
@@ -512,7 +513,7 @@ mod tests {
         assert_eq!(default_workers(0), 1);
         assert!(default_workers(1000) >= 1);
         // More workers than jobs must still complete correctly.
-        let got = run_indexed_on(32, 3, |i| i + 1);
+        let got = jobs(32, 3, |i| i + 1);
         assert_eq!(got, vec![1, 2, 3]);
     }
 
@@ -533,7 +534,7 @@ mod tests {
     fn try_reports_lowest_failing_index_at_any_worker_count() {
         quiet_panics(|| {
             for workers in [1, 2, 3, 8] {
-                let err = try_run_indexed_on(workers, 60, |i| {
+                let err = try_jobs(workers, 60, |i| {
                     // Jobs 7, 23 and 41 fail; 7 must always win.
                     if i == 7 || i == 23 || i == 41 {
                         panic!("boom at {i}");
@@ -551,7 +552,7 @@ mod tests {
     fn try_drains_every_job_even_after_a_failure() {
         quiet_panics(|| {
             let ran: Vec<AtomicUsize> = (0..30).map(|_| AtomicUsize::new(0)).collect();
-            let err = try_run_indexed_on(2, 30, |i| {
+            let err = try_jobs(2, 30, |i| {
                 ran[i].fetch_add(1, Ordering::Relaxed);
                 if i == 0 {
                     panic!("first job fails");
@@ -570,15 +571,16 @@ mod tests {
     fn try_succeeds_bit_identically_to_infallible_path() {
         let expect: Vec<usize> = (0..41).map(|i| i * 3).collect();
         for workers in [1, 2, 8] {
-            assert_eq!(try_run_indexed_on(workers, 41, |i| i * 3).unwrap(), expect);
+            assert_eq!(try_jobs(workers, 41, |i| i * 3).unwrap(), expect);
         }
     }
 
     #[test]
     fn try_zero_jobs_is_ok_empty() {
-        let got: Result<Vec<usize>, PoolError> = try_run_indexed(0, |i| i);
+        let got: Result<Vec<usize>, PoolError> = try_jobs(default_workers(0), 0, |i| i);
         assert_eq!(got.unwrap(), Vec::<usize>::new());
-        let blocks: Result<Vec<usize>, PoolError> = try_run_blocks(0, 256, |r| r.collect());
+        let blocks: Result<Vec<usize>, PoolError> =
+            try_run_blocks_on(default_workers(0), 0, 256, |r| r.collect());
         assert_eq!(blocks.unwrap(), Vec::<usize>::new());
     }
 
@@ -609,7 +611,7 @@ mod tests {
     #[test]
     fn non_string_payloads_are_reported() {
         quiet_panics(|| {
-            let err = try_run_indexed_on(2, 4, |i| {
+            let err = try_jobs(2, 4, |i| {
                 if i == 2 {
                     std::panic::panic_any(42usize);
                 }
@@ -624,7 +626,7 @@ mod tests {
     #[test]
     fn string_payloads_survive() {
         quiet_panics(|| {
-            let err = try_run_indexed_on(1, 2, |i| {
+            let err = try_jobs(1, 2, |i| {
                 if i == 1 {
                     std::panic::panic_any(String::from("owned payload"));
                 }
@@ -639,7 +641,7 @@ mod tests {
     fn infallible_wrapper_panics_with_job_index() {
         quiet_panics(|| {
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_indexed_on(2, 10, |i| {
+                jobs(2, 10, |i| {
                     if i == 4 {
                         panic!("inner");
                     }
@@ -743,7 +745,7 @@ mod tests {
             failpoint::hit("site_a", 0); // disarmed: no panic
             failpoint::arm("site_a", 2);
             failpoint::hit("site_a", 1); // wrong job: no panic
-            let err = try_run_indexed_on(2, 4, |i| {
+            let err = try_jobs(2, 4, |i| {
                 failpoint::hit("site_a", i);
                 i
             })
@@ -752,7 +754,7 @@ mod tests {
             assert!(err.message.contains("failpoint `site_a`"));
             failpoint::disarm_all();
             // Disarmed again: the same run now succeeds.
-            assert!(try_run_indexed_on(2, 4, |i| i).is_ok());
+            assert!(try_jobs(2, 4, |i| i).is_ok());
         });
     }
 
@@ -767,6 +769,23 @@ mod tests {
             assert!(start.elapsed() < std::time::Duration::from_millis(25));
             failpoint::hit("site_sleep", 1); // armed: deterministic stall
             assert!(start.elapsed() >= std::time::Duration::from_millis(30));
+            failpoint::disarm_all();
+        });
+    }
+
+    #[cfg(feature = "failpoint")]
+    #[test]
+    fn failpoint_plans_reach_pool_workers_but_not_other_threads() {
+        quiet_panics(|| {
+            failpoint::disarm_all();
+            failpoint::arm("site_scoped", 1);
+            // A thread that did not inherit this plan never fires it.
+            let elsewhere =
+                std::thread::spawn(|| try_jobs(2, 4, |i| failpoint::hit("site_scoped", i)));
+            assert!(elsewhere.join().unwrap().is_ok());
+            // This thread's pool workers inherit it and do.
+            let err = try_jobs(2, 4, |i| failpoint::hit("site_scoped", i)).unwrap_err();
+            assert_eq!(err.job, 1);
             failpoint::disarm_all();
         });
     }

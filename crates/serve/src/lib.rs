@@ -720,9 +720,16 @@ impl PredictionService {
         let (tx, rx) = mpsc::sync_channel::<Message>(config.max_queued_requests);
         let supervisor = {
             let shared = shared.clone();
+            // The batcher fires the spawning thread's failpoints only.
+            #[cfg(feature = "failpoint")]
+            let plan = msaw_parallel::failpoint::inherit();
             std::thread::Builder::new()
                 .name("msaw-serve-supervisor".into())
-                .spawn(move || supervisor_loop(&shared, rx))
+                .spawn(move || {
+                    #[cfg(feature = "failpoint")]
+                    plan.install();
+                    supervisor_loop(&shared, rx)
+                })
                 .map_err(|e| ServeError::Spawn { message: e.to_string() })?
         };
         Ok(PredictionService {

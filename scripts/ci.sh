@@ -28,6 +28,12 @@ cargo build --release -p msaw-bench --bins   # every figure/table binary + bench
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> cargo test (four test threads)"
+# Tests of one binary share a process. Four test threads even on a
+# one-core runner keep a test that leaks state into a sibling (a
+# failpoint, a thread count) from hiding behind serial scheduling.
+RUST_TEST_THREADS=4 cargo test --workspace --quiet
+
 echo "==> benchmark harness tests (perfbench/, its own workspace)"
 # Includes the check that the harness's metric tables match BENCHMARK.json.
 cargo test --manifest-path perfbench/Cargo.toml --quiet

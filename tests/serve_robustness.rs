@@ -10,9 +10,12 @@
 //! (fires after a batch is assembled, before inference). A *sleep*
 //! action at `serve::batch` wedges the batcher so tests can pile queue
 //! pressure deterministically; a *panic* action at either site
-//! detonates exactly the dequeue cycle it is armed for. Failpoints are
-//! process-global, so armed tests serialize under one mutex with
-//! failpoint panics kept off stderr (any other panic still prints).
+//! detonates exactly the dequeue cycle it is armed for. A failpoint
+//! plan belongs to the test thread that arms it and the batcher it
+//! spawns, so an armed site never fires in a concurrently running
+//! test's service; the panic hook is process-global, so armed tests
+//! still serialize under one mutex with failpoint panics kept off
+//! stderr (any other panic still prints).
 
 mod common;
 
